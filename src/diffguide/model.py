@@ -42,23 +42,18 @@ class CheckpointShapeError(CheckpointError):
 ACTIVATIONS = ("silu", "identity")
 
 
-def _activate(activation: str, z, s, a, tmp, step):
+def _activate(activation: str, z, s, a):
     """``a = act(z)`` in place; for silu also leaves ``sigmoid(z)`` in ``s``.
 
-    The sigmoid is ``num / (1 + exp(-|z|))`` with ``num = 1`` where
-    ``z >= 0`` and ``exp(-|z|)`` elsewhere, so ``exp`` never overflows.
-    Since ``exp(-|z|) <= 1``, ``num`` is the larger of ``exp(-|z|)`` and the
-    0/1 step ``z >= 0``, which avoids a slow masked assignment.
+    The sigmoid is ``0.5 (1 + tanh(z / 2))``, which cannot overflow.
     """
     if activation == "identity":
         np.copyto(a, z)
         return
-    np.copysign(z, -1.0, out=tmp)
-    np.exp(tmp, out=tmp)
-    np.add(tmp, 1.0, out=s)
-    np.greater_equal(z, 0.0, out=step)
-    np.maximum(tmp, step, out=tmp)
-    np.divide(tmp, s, out=s)
+    np.multiply(z, 0.5, out=s)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
     np.multiply(z, s, out=a)
 
 
@@ -192,9 +187,13 @@ def _embedding_table(T: int, width: int, freq_base: float) -> np.ndarray:
     return table
 
 
-# rows per chunk of the hidden layers: whole-batch temporaries fall out of
-# cache between one elementwise operation and the next
-CHUNK_ROWS = 256
+# rows of every row-dependent product outside training.  Each product runs
+# on exactly CHUNK_ROWS rows, the last chunk zero-padded, so BLAS always sees
+# the same shapes and a row's bits do not depend on the batch it came in.
+# 128 is measured with bench/run.py on a 2-core Xeon: with 256 rows the
+# 100-row calls of select_narrow each cost a 256-row chunk (run_s 50 s
+# against 35 s), with 64 rows select_wide took 39-42 s against 37 s.
+CHUNK_ROWS = 128
 
 _scratch = threading.local()
 
@@ -202,13 +201,12 @@ _scratch = threading.local()
 def _buffer(name: str, rows: int, width: int) -> np.ndarray:
     """A ``(rows, width)`` view of this thread's named scratch buffer.
 
-    The model is evaluated once per reverse step or training minibatch, on
-    batches of up to tens of thousands of rows; fresh hidden-width
-    temporaries cost a page fault per page on every call (training took 1.8
-    times as long with buffers made afresh per call).  A buffer is grown
-    when too small and kept, so a thread holds buffers as large as the
-    largest batch it has evaluated.  Every evaluation writes the rows it
-    reads before reading them, and returns freshly allocated arrays.
+    The model is evaluated once per reverse step or training minibatch;
+    fresh temporaries cost a page fault per page on every call (training
+    took 1.8 times as long with buffers made afresh per call).  A buffer is
+    grown when too small and kept, so a thread holds buffers as large as the
+    largest training batch it has evaluated.  Every evaluation writes the
+    rows it reads before reading them, and returns freshly allocated arrays.
     """
     buffers = getattr(_scratch, "buffers", None)
     if buffers is None:
@@ -219,115 +217,111 @@ def _buffer(name: str, rows: int, width: int) -> np.ndarray:
     return buf[:rows]
 
 
-def _chunks(n: int) -> list[tuple[int, int]]:
-    """Consecutive row ranges of about ``CHUNK_ROWS`` rows covering ``n``.
+def _padded(name: str, rows) -> np.ndarray:
+    """``rows`` copied into the ``CHUNK_ROWS``-row scratch buffer ``name``,
+    zeros below them."""
+    buf = _buffer(name, CHUNK_ROWS, rows.shape[1])
+    buf[: len(rows)] = rows
+    buf[len(rows) :] = 0.0
+    return buf
 
-    A one-row remainder joins the chunk before it: BLAS multiplies a single
-    row by another path than a block of rows, with other rounding.
+
+def _batch(x, t, sched: NoiseSchedule, cotangent=None):
+    """Checked inputs of one evaluation: ``(rows, t, cotangents, single)``.
+
+    ``x`` is one point ``(2,)`` or a batch ``(n, 2)``; ``t`` one step in
+    ``1..T`` or one per row; ``cotangent`` one 2-vector or one per row.  A
+    single point or cotangent is repeated to the batch length.  ``single``
+    is true when every input was single, so the caller returns one row.
     """
-    starts = list(range(0, n, CHUNK_ROWS))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
-
-
-def _as_rows(x, t):
-    """``x`` as an ``(n, 2)`` row batch matching ``t``; a single point is
-    repeated for an array of steps."""
-    rows = np.atleast_2d(x)
-    if t.ndim > 0 and rows.shape[0] == 1:
-        rows = np.broadcast_to(rows, (t.shape[0], 2))
-    return rows
+    x = np.asarray(x, dtype=np.float64)
+    t = _check_t(t, sched.T)
+    cot = None if cotangent is None else np.asarray(cotangent, dtype=np.float64)
+    lengths = {
+        name: arr.shape[0]
+        for name, arr, batch_ndim in (("x", x, 2), ("t", t, 1), ("cotangent", cot, 2))
+        if arr is not None and arr.ndim == batch_ndim
+    }
+    if len(set(lengths.values())) > 1:
+        sizes = ", ".join(f"{name} has {n}" for name, n in lengths.items())
+        raise ValueError(f"batch length mismatch: {sizes}")
+    n = next(iter(lengths.values()), 1)
+    rows = np.broadcast_to(x, (n, 2))
+    cots = None if cot is None else np.broadcast_to(cot, (n, 2))
+    return rows, t, cots, not lengths
 
 
 def _hidden_layers(model: EpsModel, xw, bias1, a2):
-    """Both hidden layers on one chunk of rows, in scratch buffers.
+    """Both hidden layers on a block of rows, in scratch buffers.
 
     Leaves the second activation in ``a2`` and returns the pre-activations
     and sigmoids ``(z1, s1, a1, z2, s2)`` that the backward passes need.
     ``bias1`` is the step embedding's contribution to layer 1 plus ``b1``.
     """
     n, width = xw.shape[0], model.hidden_width
-    names = ("z1", "s1", "a1", "z2", "s2", "tmp", "step")
-    z1, s1, a1, z2, s2, tmp, step = (_buffer(k, n, width) for k in names)
+    z1, s1, a1, z2, s2 = (_buffer(k, n, width) for k in ("z1", "s1", "a1", "z2", "s2"))
     np.matmul(xw, model.w1[:2], out=z1)
     z1 += bias1
-    _activate(model.activation, z1, s1, a1, tmp, step)
+    _activate(model.activation, z1, s1, a1)
     np.matmul(a1, model.w2, out=z2)
     z2 += model.b2
-    _activate(model.activation, z2, s2, a2, tmp, step)
+    _activate(model.activation, z2, s2, a2)
     return z1, s1, a1, z2, s2
 
 
-def _layer1_bias(model: EpsModel, emb):
-    # the x and embedding blocks of layer 1 are applied separately so a
-    # scalar t costs one embedding row regardless of batch size
-    return emb @ model.w1[2:] + model.b1
+def _hidden_chunks(model: EpsModel, rows, t, sched: NoiseSchedule):
+    """Hidden layers over ``rows`` in padded chunks of ``CHUNK_ROWS`` rows.
 
-
-def _hidden_all(model: EpsModel, x, t, sched: NoiseSchedule):
-    """Hidden layers over all rows of ``x``, one chunk at a time.
-
-    Yields ``(lo, hi, z1, s1, z2, s2)`` per chunk of rows ``lo:hi``; the
-    second activation of every row collects in the scratch buffer ``a2``.
+    Yields ``(lo, m, z1, s1, z2, s2, a2)`` per chunk holding rows
+    ``lo:lo + m``; the buffers have ``CHUNK_ROWS`` rows, of which the first
+    ``m`` are real.
     """
-    n = x.shape[0]
-    xw = (x - model.in_shift) / model.in_scale
-    emb = time_embedding(t, sched.T, model.embed_width, model.freq_base)
-    bias1 = _layer1_bias(model, emb) if t.ndim == 0 else None
-    a2 = _buffer("a2", n, model.hidden_width)
-    for lo, hi in _chunks(n):
-        b = bias1 if bias1 is not None else _layer1_bias(model, emb[lo:hi])
-        z1, s1, _, z2, s2 = _hidden_layers(model, xw[lo:hi], b, a2[lo:hi])
-        yield lo, hi, z1, s1, z2, s2
+    width = model.hidden_width
+    table = _embedding_table(sched.T, model.embed_width, model.freq_base)
+    if t.ndim == 0:
+        # one embedding row serves every row of the batch
+        bias1 = table[t] @ model.w1[2:] + model.b1
+    else:
+        bias1 = _buffer("bias1", CHUNK_ROWS, width)
+    a2 = _buffer("a2", CHUNK_ROWS, width)
+    for lo in range(0, rows.shape[0], CHUNK_ROWS):
+        chunk = rows[lo : lo + CHUNK_ROWS]
+        xw = _padded("xw", chunk)
+        xw -= model.in_shift
+        xw /= model.in_scale
+        if t.ndim > 0:
+            emb = _padded("emb", table[t[lo : lo + CHUNK_ROWS]])
+            np.matmul(emb, model.w1[2:], out=bias1)
+            bias1 += model.b1
+        z1, s1, _, z2, s2 = _hidden_layers(model, xw, bias1, a2)
+        yield lo, len(chunk), z1, s1, z2, s2, a2
 
 
-def _predict(model: EpsModel, x, t, sched: NoiseSchedule, repeats: int = 1):
-    x = np.asarray(x, dtype=np.float64)
-    t = _check_t(t, sched.T)
-    if t.ndim > 0 and x.ndim > 1 and t.shape[0] != x.shape[0]:
-        raise ValueError(f"batch length mismatch: x has {x.shape[0]} rows, t has {t.shape[0]}")
-    rows = _as_rows(x, t)
-    n, width = rows.shape[0], model.hidden_width
-    for _ in _hidden_all(model, rows, t, sched):
-        pass
-    a2 = _buffer("a2", n, width)
-    if repeats > 1:
-        wide = _buffer("a2_repeated", n * repeats, width)
-        wide.reshape(n, repeats, width)[...] = a2[:, None, :]
-        a2 = wide
-    # the output layer runs once over the whole batch: BLAS picks its kernel
-    # for an (n, H) x (H, 2) product by n, so chunking it would round rows
-    # differently depending on how the batch was cut
-    out = a2 @ model.w3
-    out += model.b3
-    return out[0] if x.ndim == 1 and t.ndim == 0 else out
+def _predict(model: EpsModel, x, t, sched: NoiseSchedule):
+    rows, t, _, single = _batch(x, t, sched)
+    out = np.empty(rows.shape)
+    y = _buffer("y", CHUNK_ROWS, 2)
+    for lo, m, _, _, _, _, a2 in _hidden_chunks(model, rows, t, sched):
+        np.matmul(a2, model.w3, out=y)
+        y += model.b3
+        out[lo : lo + m] = y[:m]
+    return out[0] if single else out
 
 
 def _input_grad(model: EpsModel, x, t, cotangent, sched: NoiseSchedule):
-    x = np.asarray(x, dtype=np.float64)
-    t = np.asarray(t)
-    cot = np.asarray(cotangent, dtype=np.float64)
-    rows = _as_rows(x, t)
-    if cot.ndim == 2 and rows.shape[0] == 1:
-        rows = np.broadcast_to(rows, cot.shape)
-    cots = np.broadcast_to(cot, rows.shape)
+    rows, t, cots, single = _batch(x, t, sched, cotangent)
+    out = np.empty(rows.shape)
     width = model.hidden_width
-    # BLAS rounds a product with a transposed (H, H) operand differently for
-    # chunks of fewer than about ten rows; a contiguous copy takes the path
-    # that whole batches take for every chunk length above one
-    w2_t = np.ascontiguousarray(model.w2.T)
-    dz1 = _buffer("dz1", rows.shape[0], width)
-    for lo, hi, z1, s1, z2, s2 in _hidden_all(model, rows, t, sched):
-        upstream = _buffer("upstream", hi - lo, width)
-        dz2 = _buffer("dz2", hi - lo, width)
-        np.matmul(cots[lo:hi], model.w3.T, out=upstream)
+    upstream, dz2, dz1 = (_buffer(k, CHUNK_ROWS, width) for k in ("upstream", "dz2", "dz1"))
+    g = _buffer("g", CHUNK_ROWS, 2)
+    for lo, m, z1, s1, z2, s2, _ in _hidden_chunks(model, rows, t, sched):
+        np.matmul(_padded("cot", cots[lo : lo + m]), model.w3.T, out=upstream)
         _act_grad(model.activation, z2, s2, upstream, dz2)
-        np.matmul(dz2, w2_t, out=upstream)
-        _act_grad(model.activation, z1, s1, upstream, dz1[lo:hi])
-    # like the output layer, the (n, H) x (H, 2) product runs unchunked
-    out = (dz1 @ model.w1[:2].T) / model.in_scale
-    single = x.ndim == 1 and t.ndim == 0 and cot.ndim == 1
+        np.matmul(dz2, model.w2.T, out=upstream)
+        _act_grad(model.activation, z1, s1, upstream, dz1)
+        np.matmul(dz1, model.w1[:2].T, out=g)
+        g /= model.in_scale
+        out[lo : lo + m] = g[:m]
     return out[0] if single else out
 
 
@@ -336,8 +330,8 @@ def predict_eps(model, x, t, sched: NoiseSchedule):
     """Predicted noise for points ``x`` at step(s) ``t``.
 
     ``x`` may be a single point ``(2,)`` or a batch ``(n, 2)``; ``t`` a scalar
-    step or an array matching the batch.  Batched evaluation equals per-item
-    evaluation.
+    step or an array matching the batch.  For an ``EpsModel`` a row's result
+    does not depend on the batch it is evaluated in, bit for bit.
     """
     raise TypeError(f"no noise predictor registered for {type(model).__name__}")
 
@@ -345,27 +339,6 @@ def predict_eps(model, x, t, sched: NoiseSchedule):
 @predict_eps.register
 def _(model: EpsModel, x, t, sched: NoiseSchedule):
     return _predict(model, x, t, sched)
-
-
-@singledispatch
-def predict_eps_repeated(model, x, repeats: int, t: int, sched: NoiseSchedule):
-    """``predict_eps`` of ``np.repeat(x, repeats, axis=0)`` at a scalar step.
-
-    Equal bit for bit to that call; an ``EpsModel`` runs the hidden layers
-    once per distinct row of ``x`` (``x`` is ``(n, 2)``).
-    """
-    return predict_eps(model, np.repeat(np.atleast_2d(x), repeats, axis=0), t, sched)
-
-
-@predict_eps_repeated.register
-def _(model: EpsModel, x, repeats: int, t: int, sched: NoiseSchedule):
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if np.ndim(t) != 0:
-        raise ValueError("predict_eps_repeated takes a single step index")
-    if x.shape[0] == 1 and repeats > 1:
-        # a one-row hidden layer would round differently from the repeated batch
-        x, repeats = np.repeat(x, repeats, axis=0), 1
-    return _predict(model, x, t, sched, repeats)
 
 
 def loss_and_param_grads(model: EpsModel, x0_batch, eps_batch, t_batch, sched: NoiseSchedule) -> GradBundle:

@@ -109,9 +109,16 @@ def estimate_value(model, sched: NoiseSchedule, spec: RewardSpec, x_t, t):
     if np.ndim(t_arr) != 0:
         raise ValueError("estimate_value takes a single step index")
     t = int(t_arr)
+    eps_hat = predict_eps(model, x_t, t, sched) if t > 0 else None
+    return value_given_eps(spec, sched, x_t, t, eps_hat)
+
+
+def value_given_eps(spec: RewardSpec, sched: NoiseSchedule, x_t, t: int, eps_hat):
+    """``estimate_value`` of states ``x_t`` at step ``t`` whose predicted
+    noise ``eps_hat`` is already known (ignored at t = 0)."""
     if t == 0:
         return reward(spec, x_t)
-    x0_hat = tweedie_x0(x_t, predict_eps(model, x_t, t, sched), t, sched)
+    x0_hat = tweedie_x0(x_t, eps_hat, t, sched)
     if isinstance(spec, GaussianReward):
         return log_reward(spec, x0_hat)
     return reward(spec, x0_hat)

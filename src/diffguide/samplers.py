@@ -22,9 +22,13 @@ regardless of block size.
 Counters: ``model_evals`` counts denoising forward passes per run (streams x
 steps); the model call inside an endpoint value estimate is part of that
 reward query and is tallied in ``reward_queries`` instead.  The counts are
-the methods' nominal costs: at the start of a block every stream of a run
-holds the same state, and the sampler runs the model's hidden layers on it
-once (``predict_eps_repeated``) with bit-identical results.
+the methods' nominal costs, not the rows the model evaluates.  A block's
+value estimate predicts the noise of every candidate at the next step, and
+the next block starts from the winner's prediction repeated over its
+streams, so a selection run evaluates one model row per stream and step
+(one per run at its first step).  A row's prediction does not depend on
+the batch it is evaluated in, so this reuse gives the bits a fresh
+evaluation of every stream would.
 """
 
 from __future__ import annotations
@@ -35,13 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .model import input_grad, predict_eps, predict_eps_repeated
+from .model import input_grad, predict_eps
 from .rewards import (
     GaussianReward,
     RewardSpec,
     UnsupportedRewardError,
-    estimate_value,
     reward_grad,
+    value_given_eps,
 )
 from .schedule import NoiseSchedule, posterior_mean, tweedie_x0
 
@@ -129,16 +133,14 @@ def _selection_rollout(
     R = seeds.shape[0]
     N = n_streams
     stream_ids = np.arange(N)
+    runs = np.arange(R)
     x = x_start
+    eps_x = predict_eps(model, x, top, sched)
     for t_hi, t_lo in _block_bounds(top, block_size):
-        y = np.repeat(x[:, None, :], N, axis=1)  # (R, N, 2)
-        flat = y.reshape(R * N, 2)
+        # the streams of a run all start the block from its state
+        flat = np.repeat(x, N, axis=0)
+        eps_hat = np.repeat(eps_x, N, axis=0)
         for t in range(t_hi, t_lo - 1, -1):
-            if t == t_hi:
-                # the streams of a run all start the block from its state
-                eps_hat = predict_eps_repeated(model, x, N, t, sched)
-            else:
-                eps_hat = predict_eps(model, flat, t, sched)
             counters.model_evals += N
             mu = posterior_mean(flat, eps_hat, t, sched)
             if t > 1:
@@ -146,13 +148,17 @@ def _selection_rollout(
                     seeds[:, None], streams.ROLE_STEP, t, stream_ids[None, :]
                 )
                 flat = mu + np.sqrt(sched.beta[t]) * z.reshape(R * N, 2)
+                eps_hat = predict_eps(model, flat, t - 1, sched)
             else:
                 flat = mu
-        values = np.asarray(estimate_value(model, sched, spec, flat, t_lo - 1))
+        # eps_hat predicts the endpoints' noise at t_lo - 1: the value
+        # estimate scores it, and the winner's starts the next block
+        values = np.asarray(value_given_eps(spec, sched, flat, t_lo - 1, eps_hat))
         counters.reward_queries += N
         # argmax returns the first maximum, i.e. the lowest stream id on ties
         best = values.reshape(R, N).argmax(axis=1)
-        x = flat.reshape(R, N, 2)[np.arange(R), best]
+        x = flat.reshape(R, N, 2)[runs, best]
+        eps_x = eps_hat.reshape(R, N, 2)[runs, best]
     return x
 
 

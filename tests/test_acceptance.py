@@ -25,6 +25,8 @@ from diffguide.experiments import (
 )
 from diffguide.model import load_checkpoint
 
+pytestmark = pytest.mark.acceptance
+
 FULL_T = 1000
 TRAIN_EPOCHS = 200
 SAMPLES_PER_POINT = 1000

@@ -23,7 +23,6 @@ from diffguide.model import (
     CheckpointFormatError,
     CheckpointShapeError,
     CheckpointVersionError,
-    predict_eps_repeated,
     time_embedding,
     with_params,
 )
@@ -85,8 +84,6 @@ class TestInit:
 
 class TestForward:
     def test_batch_of_one_matches_batch_of_many(self):
-        # BLAS picks a different kernel for single-row matmuls, so the
-        # comparison is to the last couple of ulps rather than bitwise
         sched = build_linear_schedule(100)
         model = init_model(16, 8, seed=2)
         rng = np.random.default_rng(0)
@@ -94,9 +91,8 @@ class TestForward:
         t = 37
         full = predict_eps(model, xs, t, sched)
         for i in range(6):
-            np.testing.assert_allclose(
-                full[i], predict_eps(model, xs[i : i + 1], t, sched)[0], rtol=1e-13, atol=1e-15
-            )
+            np.testing.assert_array_equal(full[i], predict_eps(model, xs[i : i + 1], t, sched)[0])
+            np.testing.assert_array_equal(full[i], predict_eps(model, xs[i], t, sched))
 
     def test_zero_model_outputs_zero(self):
         sched = build_linear_schedule(10)
@@ -133,7 +129,7 @@ class TestForward:
     def test_batch_length_mismatch(self):
         sched = build_linear_schedule(10)
         model = init_model(4, 2, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="batch length mismatch"):
             predict_eps(model, np.zeros((3, 2)), np.array([1, 2]), sched)
 
     def test_embedding_range_and_shape(self):
@@ -248,6 +244,32 @@ class TestInputGrad:
             worst = max(worst, rel_err(got, want))
         assert worst <= 1e-6, f"worst relative error {worst}"
 
+    @pytest.mark.parametrize("t", [0, -3, 101, 5000])
+    def test_step_out_of_range(self, t):
+        sched = build_linear_schedule(100)
+        model = init_model(8, 4, seed=3)
+        with pytest.raises(ValueError, match="out of range"):
+            input_grad(model, np.zeros((3, 2)), t, sched, np.ones((3, 2)))
+
+    def test_batch_length_mismatch(self):
+        sched = build_linear_schedule(100)
+        model = init_model(8, 4, seed=3)
+        with pytest.raises(ValueError, match="batch length mismatch"):
+            input_grad(model, np.zeros((3, 2)), np.array([1, 2]), sched, np.ones((3, 2)))
+        with pytest.raises(ValueError, match="batch length mismatch"):
+            input_grad(model, np.zeros((3, 2)), 5, sched, np.ones((2, 2)))
+
+    def test_single_point_against_steps(self):
+        """One point with a step per row is that point repeated."""
+        sched = build_linear_schedule(100)
+        model = init_model(8, 4, seed=3)
+        t = np.array([3, 50, 99])
+        cot = np.random.default_rng(0).normal(size=(3, 2))
+        x = np.array([0.4, -1.3])
+        np.testing.assert_array_equal(
+            input_grad(model, x, t, sched, cot), input_grad(model, np.tile(x, (3, 1)), t, sched, cot)
+        )
+
     def test_linear_model_closed_form(self):
         """Identity activations make the VJP the composed weight product."""
         sched = build_linear_schedule(10)
@@ -259,47 +281,35 @@ class TestInputGrad:
 
 
 class TestChunking:
-    def test_chunks_cover_rows_without_one_row_tail(self, monkeypatch):
-        monkeypatch.setattr(model_module, "CHUNK_ROWS", 4)
-        for n in range(1, 30):
-            chunks = model_module._chunks(n)
-            assert chunks[0][0] == 0 and chunks[-1][1] == n
-            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-            lengths = [hi - lo for lo, hi in chunks]
-            assert max(lengths) <= 5
-            assert n == 1 or min(lengths) >= 2
-
-    def test_results_do_not_depend_on_chunking(self, monkeypatch):
-        """Study-width model: any cut of the batch gives the same bits as
-        one chunk of all 601 rows."""
-        sched = build_linear_schedule(100)
+    def test_rows_do_not_depend_on_the_batch(self):
+        """Study-width model: every row of a batch of 1, 2, CHUNK_ROWS +- 1,
+        4000 or 50,000 rows, taken at two row offsets (the 50,000-row batch
+        rotated), has the bits the same row has in one 50,000-row batch,
+        for ``predict_eps`` and ``input_grad``, with a scalar step and with
+        a step per row."""
+        sched = build_linear_schedule(1000)
         model = init_model(128, 32, seed=1, in_shift=[5.0, 5.7], in_scale=3.0)
         rng = np.random.default_rng(3)
-        x = rng.normal(scale=4.0, size=(601, 2))
-        cot = rng.normal(size=(601, 2))
-        t = rng.integers(1, 101, size=601)
-        outs = []
-        for chunk_rows in (1024, 7, 64, 256):
-            monkeypatch.setattr(model_module, "CHUNK_ROWS", chunk_rows)
-            outs.append(
-                [
-                    predict_eps(model, x, 40, sched),
-                    predict_eps(model, x, t, sched),
-                    input_grad(model, x, 40, sched, cot),
-                    input_grad(model, x, t, sched, cot),
-                ]
-            )
-        for other in outs[1:]:
-            for a, b in zip(outs[0], other):
-                np.testing.assert_array_equal(a, b)
+        n = 50_000
+        x = rng.normal(5.0, 4.0, size=(n, 2))
+        cot = rng.normal(size=(n, 2))
+        steps = rng.integers(1, 1001, size=n)
 
-    @pytest.mark.parametrize("runs", [1, 2, 7])
-    def test_repeated_rows_match_explicit_repeat(self, runs):
-        sched = build_linear_schedule(100)
-        model = init_model(128, 32, seed=2)
-        x = np.random.default_rng(runs).normal(size=(runs, 2))
-        got = predict_eps_repeated(model, x, 5, 60, sched)
-        np.testing.assert_array_equal(got, predict_eps(model, np.repeat(x, 5, axis=0), 60, sched))
+        def evaluate(idx):
+            return [
+                predict_eps(model, x[idx], 400, sched),
+                predict_eps(model, x[idx], steps[idx], sched),
+                input_grad(model, x[idx], 400, sched, cot[idx]),
+                input_grad(model, x[idx], steps[idx], sched, cot[idx]),
+            ]
+
+        whole = evaluate(np.arange(n))
+        rows = model_module.CHUNK_ROWS
+        for size in (1, 2, rows - 1, rows + 1, 4000, n):
+            for offset in (1, 7 * rows + 3):
+                idx = (offset + np.arange(size)) % n
+                for got, want in zip(evaluate(idx), whole):
+                    np.testing.assert_array_equal(got, want[idx], err_msg=f"{size} rows at {offset}")
 
     def test_threads_keep_separate_buffers(self):
         """Concurrent threads evaluate in their own scratch buffers: each

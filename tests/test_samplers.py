@@ -19,6 +19,7 @@ from diffguide import (
     estimate_value,
     fit_gaussian,
     gaussian_kl,
+    grad_guided_batch,
     grad_guided_sample,
     init_model,
     posterior_mean,
@@ -204,7 +205,15 @@ class TestBatchedRuns:
         batch, _ = blockwise_batch(MODEL, SCHED, REWARD, 3, 10, seeds)
         for i, s in enumerate(seeds):
             single = blockwise_sample(MODEL, SCHED, REWARD, 3, 10, seed=s)
-            np.testing.assert_allclose(batch[i], single, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(batch[i], single)
+
+    def test_grad_batch_equals_single_runs(self):
+        """Gradient guidance over 37 runs gives each run the bits it has alone."""
+        seeds = [streams.derive_seed(902, i) for i in range(37)]
+        batch, _ = grad_guided_batch(MODEL, SCHED, REWARD, 1.0, seeds)
+        for i, s in enumerate(seeds):
+            single = grad_guided_sample(MODEL, SCHED, REWARD, 1.0, seed=s)
+            np.testing.assert_array_equal(batch[i], single)
 
     def test_validation(self):
         with pytest.raises(ValueError):
