@@ -11,8 +11,7 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
+import time
 
 from . import streams
 from .config import ConfigError, GuidancePoint, load_config
@@ -27,7 +26,7 @@ from .experiments import (
 )
 from .model import CheckpointError, init_model, load_checkpoint, save_checkpoint
 from .plots import plot_csv
-from .samplers import RunCounters, base_sample
+from .samplers import base_sample
 from .schedule import build_linear_schedule
 from .training import TrainingDivergedError, pooled_input_stats, train
 
@@ -145,13 +144,15 @@ def cmd_guide(args) -> int:
     )
     from .experiments import _guided_batch
 
+    start = time.perf_counter()
     out, counters = _guided_batch(model, sched, cfg.reward, point, cfg.seed, 1)
+    wall_ms = (time.perf_counter() - start) * 1e3
     payload = {
         "sample": out[0].tolist(),
         "method": point.method,
         "model_evals": counters.model_evals,
         "reward_queries": counters.reward_queries,
-        "wall_ms": counters.wall_ms,
+        "wall_ms": wall_ms,
     }
     print(json.dumps(payload))
     return EXIT_OK

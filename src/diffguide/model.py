@@ -187,9 +187,10 @@ def _embedding_table(T: int, width: int, freq_base: float) -> np.ndarray:
     return table
 
 
-# rows of every row-dependent product outside training.  Each product runs
-# on exactly CHUNK_ROWS rows, the last chunk zero-padded, so BLAS always sees
-# the same shapes and a row's bits do not depend on the batch it came in.
+# rows of every row-dependent product.  Each product runs on exactly
+# CHUNK_ROWS rows, the last chunk zero-padded, so BLAS always sees the same
+# shapes: a row's bits do not depend on the batch it came in, and training's
+# gradient sums do not depend on the BLAS thread count.
 # 128 is measured with bench/run.py on a 2-core Xeon: with 256 rows the
 # 100-row calls of select_narrow each cost a 256-row chunk (run_s 50 s
 # against 35 s), with 64 rows select_wide took 39-42 s against 37 s.
@@ -198,29 +199,27 @@ CHUNK_ROWS = 128
 _scratch = threading.local()
 
 
-def _buffer(name: str, rows: int, width: int) -> np.ndarray:
-    """A ``(rows, width)`` view of this thread's named scratch buffer.
+def _buffer(name: str, width: int) -> np.ndarray:
+    """This thread's ``(CHUNK_ROWS, width)`` scratch buffer ``name``.
 
-    The model is evaluated once per reverse step or training minibatch;
-    fresh temporaries cost a page fault per page on every call (training
-    took 1.8 times as long with buffers made afresh per call).  A buffer is
-    grown when too small and kept, so a thread holds buffers as large as the
-    largest training batch it has evaluated.  Every evaluation writes the
-    rows it reads before reading them, and returns freshly allocated arrays.
+    The model is evaluated chunk by chunk many times per reverse step or
+    training minibatch; fresh temporaries cost a page fault per page on
+    every call (training took 1.8 times as long with buffers made afresh per
+    call).  Every evaluation writes the rows it reads before reading them,
+    and returns freshly allocated arrays.
     """
     buffers = getattr(_scratch, "buffers", None)
     if buffers is None:
         buffers = _scratch.buffers = {}
     buf = buffers.get(name)
-    if buf is None or buf.shape[0] < rows or buf.shape[1] != width:
-        buf = buffers[name] = np.empty((rows, width))
-    return buf[:rows]
+    if buf is None or buf.shape[1] != width:
+        buf = buffers[name] = np.empty((CHUNK_ROWS, width))
+    return buf
 
 
 def _padded(name: str, rows) -> np.ndarray:
-    """``rows`` copied into the ``CHUNK_ROWS``-row scratch buffer ``name``,
-    zeros below them."""
-    buf = _buffer(name, CHUNK_ROWS, rows.shape[1])
+    """``rows`` copied into the scratch buffer ``name``, zeros below them."""
+    buf = _buffer(name, rows.shape[1])
     buf[: len(rows)] = rows
     buf[len(rows) :] = 0.0
     return buf
@@ -251,39 +250,24 @@ def _batch(x, t, sched: NoiseSchedule, cotangent=None):
     return rows, t, cots, not lengths
 
 
-def _hidden_layers(model: EpsModel, xw, bias1, a2):
-    """Both hidden layers on a block of rows, in scratch buffers.
-
-    Leaves the second activation in ``a2`` and returns the pre-activations
-    and sigmoids ``(z1, s1, a1, z2, s2)`` that the backward passes need.
-    ``bias1`` is the step embedding's contribution to layer 1 plus ``b1``.
-    """
-    n, width = xw.shape[0], model.hidden_width
-    z1, s1, a1, z2, s2 = (_buffer(k, n, width) for k in ("z1", "s1", "a1", "z2", "s2"))
-    np.matmul(xw, model.w1[:2], out=z1)
-    z1 += bias1
-    _activate(model.activation, z1, s1, a1)
-    np.matmul(a1, model.w2, out=z2)
-    z2 += model.b2
-    _activate(model.activation, z2, s2, a2)
-    return z1, s1, a1, z2, s2
-
-
 def _hidden_chunks(model: EpsModel, rows, t, sched: NoiseSchedule):
-    """Hidden layers over ``rows`` in padded chunks of ``CHUNK_ROWS`` rows.
+    """Both hidden layers over ``rows`` in padded chunks of ``CHUNK_ROWS`` rows.
 
-    Yields ``(lo, m, z1, s1, z2, s2, a2)`` per chunk holding rows
-    ``lo:lo + m``; the buffers have ``CHUNK_ROWS`` rows, of which the first
-    ``m`` are real.
+    Yields ``(lo, m, xw, emb, z1, s1, a1, z2, s2, a2)`` per chunk holding
+    rows ``lo:lo + m``: the whitened input, the step embedding (``None`` for
+    a scalar step), and each hidden layer's pre-activation, sigmoid and
+    activation.  The buffers have ``CHUNK_ROWS`` rows, of which the first
+    ``m`` are real; ``emb`` is zero below them.
     """
     width = model.hidden_width
     table = _embedding_table(sched.T, model.embed_width, model.freq_base)
+    emb = None
     if t.ndim == 0:
         # one embedding row serves every row of the batch
         bias1 = table[t] @ model.w1[2:] + model.b1
     else:
-        bias1 = _buffer("bias1", CHUNK_ROWS, width)
-    a2 = _buffer("a2", CHUNK_ROWS, width)
+        bias1 = _buffer("bias1", width)
+    z1, s1, a1, z2, s2, a2 = (_buffer(k, width) for k in ("z1", "s1", "a1", "z2", "s2", "a2"))
     for lo in range(0, rows.shape[0], CHUNK_ROWS):
         chunk = rows[lo : lo + CHUNK_ROWS]
         xw = _padded("xw", chunk)
@@ -293,15 +277,33 @@ def _hidden_chunks(model: EpsModel, rows, t, sched: NoiseSchedule):
             emb = _padded("emb", table[t[lo : lo + CHUNK_ROWS]])
             np.matmul(emb, model.w1[2:], out=bias1)
             bias1 += model.b1
-        z1, s1, _, z2, s2 = _hidden_layers(model, xw, bias1, a2)
-        yield lo, len(chunk), z1, s1, z2, s2, a2
+        np.matmul(xw, model.w1[:2], out=z1)
+        z1 += bias1
+        _activate(model.activation, z1, s1, a1)
+        np.matmul(a1, model.w2, out=z2)
+        z2 += model.b2
+        _activate(model.activation, z2, s2, a2)
+        yield lo, len(chunk), xw, emb, z1, s1, a1, z2, s2, a2
+
+
+def _backward(model: EpsModel, dout, z1, s1, z2, s2):
+    """Gradients ``(dz2, dz1)`` at both hidden pre-activations of one chunk,
+    given ``dout``, the gradient at the output; a zero row of ``dout``
+    gives zero rows."""
+    width = model.hidden_width
+    upstream, dz2, dz1 = (_buffer(k, width) for k in ("upstream", "dz2", "dz1"))
+    np.matmul(dout, model.w3.T, out=upstream)
+    _act_grad(model.activation, z2, s2, upstream, dz2)
+    np.matmul(dz2, model.w2.T, out=upstream)
+    _act_grad(model.activation, z1, s1, upstream, dz1)
+    return dz2, dz1
 
 
 def _predict(model: EpsModel, x, t, sched: NoiseSchedule):
     rows, t, _, single = _batch(x, t, sched)
     out = np.empty(rows.shape)
-    y = _buffer("y", CHUNK_ROWS, 2)
-    for lo, m, _, _, _, _, a2 in _hidden_chunks(model, rows, t, sched):
+    y = _buffer("y", 2)
+    for lo, m, *_, a2 in _hidden_chunks(model, rows, t, sched):
         np.matmul(a2, model.w3, out=y)
         y += model.b3
         out[lo : lo + m] = y[:m]
@@ -311,14 +313,9 @@ def _predict(model: EpsModel, x, t, sched: NoiseSchedule):
 def _input_grad(model: EpsModel, x, t, cotangent, sched: NoiseSchedule):
     rows, t, cots, single = _batch(x, t, sched, cotangent)
     out = np.empty(rows.shape)
-    width = model.hidden_width
-    upstream, dz2, dz1 = (_buffer(k, CHUNK_ROWS, width) for k in ("upstream", "dz2", "dz1"))
-    g = _buffer("g", CHUNK_ROWS, 2)
-    for lo, m, z1, s1, z2, s2, _ in _hidden_chunks(model, rows, t, sched):
-        np.matmul(_padded("cot", cots[lo : lo + m]), model.w3.T, out=upstream)
-        _act_grad(model.activation, z2, s2, upstream, dz2)
-        np.matmul(dz2, model.w2.T, out=upstream)
-        _act_grad(model.activation, z1, s1, upstream, dz1)
+    g = _buffer("g", 2)
+    for lo, m, _, _, z1, s1, _, z2, s2, _ in _hidden_chunks(model, rows, t, sched):
+        _, dz1 = _backward(model, _padded("cot", cots[lo : lo + m]), z1, s1, z2, s2)
         np.matmul(dz1, model.w1[:2].T, out=g)
         g /= model.in_scale
         out[lo : lo + m] = g[:m]
@@ -346,8 +343,9 @@ def loss_and_param_grads(model: EpsModel, x0_batch, eps_batch, t_batch, sched: N
 
     The loss is ``mean_i || eps_i - model(noised(x0_i, t_i, eps_i), t_i) ||^2``
     with the mean over batch items (each item contributes the squared 2-norm
-    of its residual).  The batch is evaluated whole, never chunked, so the
-    gradient sums do not depend on ``CHUNK_ROWS``.
+    of its residual).  The batch runs on the padded chunks ``predict_eps``
+    uses; the loss and gradient sums add up chunk by chunk in order, and a
+    padded row's residual is zero, so it contributes nothing.
     """
     x0 = np.atleast_2d(np.asarray(x0_batch, dtype=np.float64))
     eps = np.atleast_2d(np.asarray(eps_batch, dtype=np.float64))
@@ -358,40 +356,30 @@ def loss_and_param_grads(model: EpsModel, x0_batch, eps_batch, t_batch, sched: N
         raise ValueError(
             f"batch shape mismatch: x0 {x0.shape}, eps {eps.shape}, t {t.shape}"
         )
-    n, width = x0.shape[0], model.hidden_width
+    n = x0.shape[0]
     x_t = forward_noising(x0, t, eps, sched)
-    xw = (x_t - model.in_shift) / model.in_scale
-    emb = _embedding_table(sched.T, model.embed_width, model.freq_base)[t]
-    a2 = _buffer("a2", n, width)
-    bias1 = _buffer("bias1", n, width)
-    np.matmul(emb, model.w1[2:], out=bias1)
-    bias1 += model.b1
-    z1, s1, a1, z2, s2 = _hidden_layers(model, xw, bias1, a2)
-    out = a2 @ model.w3 + model.b3
-
-    resid = out - eps
-    loss = float(np.sum(resid * resid) / n)
-
-    dout = (2.0 / n) * resid
-    dw3 = a2.T @ dout
-    db3 = dout.sum(axis=0)
-    upstream = _buffer("upstream", n, width)
-    dz2 = _buffer("dz2", n, width)
-    np.matmul(dout, model.w3.T, out=upstream)
-    _act_grad(model.activation, z2, s2, upstream, dz2)
-    dw2 = a1.T @ dz2
-    db2 = dz2.sum(axis=0)
-    dz1 = _buffer("dz1", n, width)
-    np.matmul(dz2, model.w2.T, out=upstream)
-    _act_grad(model.activation, z1, s1, upstream, dz1)
-    dw1 = np.empty_like(model.w1)
-    dw1[:2] = xw.T @ dz1
-    dw1[2:] = emb.T @ dz1
-    db1 = dz1.sum(axis=0)
+    dw1, db1, dw2, db2, dw3, db3 = (np.zeros_like(arr) for _, arr in model.params())
+    squares = 0.0
+    dout = _buffer("dout", 2)
+    for lo, m, xw, emb, z1, s1, a1, z2, s2, a2 in _hidden_chunks(model, x_t, t, sched):
+        np.matmul(a2, model.w3, out=dout)
+        dout += model.b3
+        dout[:m] -= eps[lo : lo + m]
+        dout[m:] = 0.0
+        squares += np.sum(dout * dout)
+        dout *= 2.0 / n
+        dz2, dz1 = _backward(model, dout, z1, s1, z2, s2)
+        dw3 += a2.T @ dout
+        db3 += dout.sum(axis=0)
+        dw2 += a1.T @ dz2
+        db2 += dz2.sum(axis=0)
+        dw1[:2] += xw.T @ dz1
+        dw1[2:] += emb.T @ dz1
+        db1 += dz1.sum(axis=0)
     for g in (dw1, db1, dw2, db2, dw3, db3):
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient")
-    return GradBundle(loss, dw1, db1, dw2, db2, dw3, db3)
+    return GradBundle(float(squares / n), dw1, db1, dw2, db2, dw3, db3)
 
 
 @singledispatch

@@ -33,7 +33,6 @@ evaluation of every stream would.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,6 @@ class RunCounters:
 
     model_evals: int = 0
     reward_queries: int = 0
-    wall_ms: float = 0.0
 
 
 def _as_seed_array(seeds) -> np.ndarray:
@@ -83,7 +81,6 @@ def base_sample(model, sched: NoiseSchedule, n: int, seed: int, counters: RunCou
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t0 = time.perf_counter()
     ids = np.arange(n)
     x = streams.normal_pair(seed, streams.ROLE_INIT, ids, 0)
     for t in range(sched.T, 0, -1):
@@ -97,8 +94,6 @@ def base_sample(model, sched: NoiseSchedule, n: int, seed: int, counters: RunCou
             )
         else:
             x = mu
-    if counters is not None:
-        counters.wall_ms += (time.perf_counter() - t0) * 1e3
     return x
 
 
@@ -188,7 +183,6 @@ def blockwise_batch(
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     counters = RunCounters()
-    t0 = time.perf_counter()
     R = seeds.shape[0]
     z = streams.normal_pair(seeds, streams.ROLE_INIT, 0, 0)  # (R, 2)
     if eta == 1.0:
@@ -210,8 +204,17 @@ def blockwise_batch(
     out = _selection_rollout(
         model, sched, spec, n_streams, block_size, seeds, x_start, top, counters
     )
-    counters.wall_ms += (time.perf_counter() - t0) * 1e3
     return out, counters
+
+
+def _one_run(batch, counters: RunCounters | None) -> np.ndarray:
+    """The sample of a one-run ``(samples, counters)`` batch; its counts
+    are added to ``counters`` when given."""
+    out, c = batch
+    if counters is not None:
+        counters.model_evals += c.model_evals
+        counters.reward_queries += c.reward_queries
+    return out[0]
 
 
 def blockwise_sample(
@@ -224,12 +227,7 @@ def blockwise_sample(
     counters: RunCounters | None = None,
 ) -> np.ndarray:
     """One guided sample via blockwise best-of-n selection."""
-    out, c = blockwise_batch(model, sched, spec, n_streams, block_size, [seed])
-    if counters is not None:
-        counters.model_evals += c.model_evals
-        counters.reward_queries += c.reward_queries
-        counters.wall_ms += c.wall_ms
-    return out[0]
+    return _one_run(blockwise_batch(model, sched, spec, n_streams, block_size, [seed]), counters)
 
 
 def blockwise_ref_sample(
@@ -244,14 +242,8 @@ def blockwise_ref_sample(
     counters: RunCounters | None = None,
 ) -> np.ndarray:
     """Guided sample conditioned on a partially noised reference point."""
-    out, c = blockwise_batch(
-        model, sched, spec, n_streams, block_size, [seed], eta=eta, x_refs=x_ref
-    )
-    if counters is not None:
-        counters.model_evals += c.model_evals
-        counters.reward_queries += c.reward_queries
-        counters.wall_ms += c.wall_ms
-    return out[0]
+    batch = blockwise_batch(model, sched, spec, n_streams, block_size, [seed], eta=eta, x_refs=x_ref)
+    return _one_run(batch, counters)
 
 
 def best_of_n_sample(model, sched, spec, n_streams, seed, counters=None) -> np.ndarray:
@@ -292,7 +284,6 @@ def grad_guided_batch(
         )
     seeds = _as_seed_array(seeds)
     counters = RunCounters()
-    t0 = time.perf_counter()
     x = streams.normal_pair(seeds, streams.ROLE_INIT, 0, 0)
     for t in range(sched.T, 0, -1):
         eps_hat = predict_eps(model, x, t, sched)
@@ -314,7 +305,6 @@ def grad_guided_batch(
             )
         else:
             x = mu
-    counters.wall_ms += (time.perf_counter() - t0) * 1e3
     return x, counters
 
 
@@ -328,9 +318,5 @@ def grad_guided_sample(
     counters: RunCounters | None = None,
 ) -> np.ndarray:
     """One reward-gradient guided sample; ``scale = 0`` reduces to the base chain."""
-    out, c = grad_guided_batch(model, sched, spec, scale, [seed], exact_chain=exact_chain)
-    if counters is not None:
-        counters.model_evals += c.model_evals
-        counters.reward_queries += c.reward_queries
-        counters.wall_ms += c.wall_ms
-    return out[0]
+    batch = grad_guided_batch(model, sched, spec, scale, [seed], exact_chain=exact_chain)
+    return _one_run(batch, counters)

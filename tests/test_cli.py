@@ -118,6 +118,7 @@ class TestSampleAndGuide:
         assert payload["model_evals"] == 3 * 30
         assert payload["reward_queries"] == 3 * 3
         assert len(payload["sample"]) == 2
+        assert payload["wall_ms"] > 0
 
     def test_guide_missing_checkpoint(self, trained):
         path, _, _ = trained

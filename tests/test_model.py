@@ -140,15 +140,17 @@ class TestForward:
 
 class TestParamGrads:
     def test_gradients_match_finite_differences(self):
-        """>= 20 random instances, relative error <= 1e-6 (silu and identity)."""
+        """>= 20 random instances of 1 to 4 rows, and one of
+        2 CHUNK_ROWS + 5 rows (three chunks, the last padded); relative
+        error <= 1e-6 (silu and identity)."""
         sched = build_linear_schedule(50)
         rng = np.random.default_rng(7)
         worst = 0.0
-        for trial in range(20):
+        for trial in range(21):
             act = "silu" if trial % 2 == 0 else "identity"
             whiten = {"in_shift": [1.5, -0.5], "in_scale": 2.5} if trial % 3 == 0 else {}
             model = init_model(3, 4, seed=100 + trial, activation=act, **whiten)
-            n = int(rng.integers(1, 5))
+            n = 2 * model_module.CHUNK_ROWS + 5 if trial == 20 else int(rng.integers(1, 5))
             x0 = rng.normal(scale=3.0, size=(n, 2))
             eps = rng.normal(size=(n, 2))
             t = rng.integers(1, 51, size=n)

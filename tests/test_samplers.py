@@ -258,7 +258,6 @@ class TestCounters:
         blockwise_sample(model, sched, REWARD, 3, 100, seed=0, counters=c)
         assert c.reward_queries == 3 * 10
         assert c.model_evals == 3 * 1000
-        assert c.wall_ms > 0
 
     def test_best_of_n_accounting(self):
         c = RunCounters()

@@ -1,8 +1,13 @@
 """Mixture sampling and the training loop (smoke scale)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import diffguide
 from diffguide import (
     GmmSpec,
     TrainConfig,
@@ -80,6 +85,33 @@ class TestTrain:
         assert la.tobytes() == lb.tobytes()
         for (_, pa), (_, pb) in zip(a.params(), b.params()):
             assert pa.tobytes() == pb.tobytes()
+
+    def test_parameters_do_not_depend_on_blas_threads(self):
+        """The study-width model trained with one and with two BLAS threads
+        has the same parameter bytes.  6000 examples in batches of 1024
+        leave an 880-row tail batch.  Each run is a fresh process, because
+        the thread count is read when numpy is imported."""
+        script = (
+            "import hashlib\n"
+            "from diffguide import TrainConfig, build_linear_schedule, init_model, paper_prior, train\n"
+            "from diffguide.training import pooled_input_stats\n"
+            "sched = build_linear_schedule(1000)\n"
+            "shift, scale = pooled_input_stats(paper_prior(), sched)\n"
+            "model = init_model(128, 32, seed=0, in_shift=shift, in_scale=scale)\n"
+            "cfg = TrainConfig(epochs=2, dataset_size=6000, batch_size=1024, seed=0)\n"
+            "trained, _ = train(model, paper_prior(), sched, cfg)\n"
+            "print(hashlib.sha256(b''.join(a.tobytes() for _, a in trained.params())).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(diffguide.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_smoke_training_reduces_loss(self):
         """CI-scale run (rescaled betas): loss drops well below its start."""
