@@ -21,6 +21,7 @@ from .metrics import (
 from .model import (
     EpsModel,
     GradBundle,
+    eps_and_input_grad,
     init_model,
     input_grad,
     load_checkpoint,
@@ -81,6 +82,7 @@ __all__ = [
     "blockwise_sample",
     "build_linear_schedule",
     "ddpm_step",
+    "eps_and_input_grad",
     "estimate_value",
     "expected_reward",
     "fit_gaussian",

@@ -28,7 +28,7 @@ from .metrics import (
     win_rate,
 )
 from .rewards import GaussianReward, QuantizedReward, RewardSpec
-from .samplers import RunCounters, base_sample, blockwise_batch, grad_guided_batch
+from .samplers import STATE_BOUND, RunCounters, base_sample, blockwise_batch, grad_guided_batch
 from .schedule import NoiseSchedule
 from .training import GmmSpec, mixture_mean
 
@@ -71,7 +71,8 @@ _TAG_SHIFT = 104
 
 
 class GuidanceDivergedError(RuntimeError):
-    """A guided batch produced non-finite samples or an unusable Gaussian fit."""
+    """A guided batch stopped at a diverged state, or produced non-finite
+    samples or an unusable Gaussian fit."""
 
 
 def _diverged(point: GuidancePoint, what: str) -> GuidanceDivergedError:
@@ -173,9 +174,16 @@ def _guided_batch(
         out = base_sample(model, sched, count, row_seed, counters)
         return out, counters
     if point.method == "grad":
-        return grad_guided_batch(
+        out, counters = grad_guided_batch(
             model, sched, spec, point.scale, _run_seeds(row_seed, count), exact_chain=point.exact_chain
         )
+        if counters.stopped_at is not None:
+            raise _diverged(
+                point,
+                f"a state left the bound |x| <= {STATE_BOUND:g} at step t={counters.stopped_at} "
+                f"of the reverse chain t={sched.T}..1",
+            )
+        return out, counters
     run_seeds = _run_seeds(row_seed, count)
     block = point.resolved_block(sched.T)
     x_refs = None
@@ -208,9 +216,9 @@ def run_sweep(
 ) -> list[MetricsRow]:
     """Evaluate each guidance point against a shared base batch.
 
-    Raises ``GuidanceDivergedError`` for a point whose samples are not
-    finite or whose Gaussian fit is unusable, instead of writing a row of
-    NaN metrics.
+    Raises ``GuidanceDivergedError`` for a point whose batch stopped at a
+    diverged state, or whose samples are not finite or whose Gaussian fit is
+    unusable, instead of writing a row of NaN metrics.
     """
     base_n = max(samples_per_point, kl_samples)
     base = base_sample(model, sched, base_n, streams.derive_seed(seed, _TAG_BASE_BATCH))
@@ -300,8 +308,9 @@ def run_shift_study(
 ) -> list[ShiftRow]:
     """Mean reward and output variance per (displacement, method cell).
 
-    Raises ``GuidanceDivergedError`` for a cell whose samples are not
-    finite or whose Gaussian fit is unusable.
+    Raises ``GuidanceDivergedError`` for a cell whose batch stopped at a
+    diverged state, or whose samples are not finite or whose Gaussian fit
+    is unusable.
     """
     rows = []
     for di, d in enumerate(study.displacements):

@@ -245,8 +245,10 @@ def _batch(x, t, sched: NoiseSchedule, cotangent=None):
         sizes = ", ".join(f"{name} has {n}" for name, n in lengths.items())
         raise ValueError(f"batch length mismatch: {sizes}")
     n = next(iter(lengths.values()), 1)
-    rows = np.broadcast_to(x, (n, 2))
-    cots = None if cot is None else np.broadcast_to(cot, (n, 2))
+    rows, cots = (
+        arr if arr is None or arr.shape == (n, 2) else np.broadcast_to(arr, (n, 2))
+        for arr in (x, cot)
+    )
     return rows, t, cots, not lengths
 
 
@@ -310,16 +312,28 @@ def _predict(model: EpsModel, x, t, sched: NoiseSchedule):
     return out[0] if single else out
 
 
-def _input_grad(model: EpsModel, x, t, cotangent, sched: NoiseSchedule):
-    rows, t, cots, single = _batch(x, t, sched, cotangent)
-    out = np.empty(rows.shape)
-    g = _buffer("g", 2)
-    for lo, m, _, _, z1, s1, _, z2, s2, _ in _hidden_chunks(model, rows, t, sched):
-        _, dz1 = _backward(model, _padded("cot", cots[lo : lo + m]), z1, s1, z2, s2)
+def _eps_and_vjp(model: EpsModel, rows, t, sched: NoiseSchedule, cotangent):
+    """Predicted noise, cotangents and their input VJP over ``rows``, each
+    ``(n, 2)``, with one forward pass.
+
+    Per padded chunk the hidden layers run once: the output layer gives the
+    chunk's noise, ``cotangent(chunk, eps_rows)`` its cotangent rows (``chunk``
+    is the slice of the rows it holds), and the backward pass reuses the
+    chunk's pre-activations and sigmoids.
+    """
+    eps, cots, vjp = (np.empty(rows.shape) for _ in range(3))
+    y, g = _buffer("y", 2), _buffer("g", 2)
+    for lo, m, _, _, z1, s1, _, z2, s2, a2 in _hidden_chunks(model, rows, t, sched):
+        chunk = slice(lo, lo + m)
+        np.matmul(a2, model.w3, out=y)
+        y += model.b3
+        eps[chunk] = y[:m]
+        cots[chunk] = cotangent(chunk, eps[chunk])
+        _, dz1 = _backward(model, _padded("cot", cots[chunk]), z1, s1, z2, s2)
         np.matmul(dz1, model.w1[:2].T, out=g)
         g /= model.in_scale
-        out[lo : lo + m] = g[:m]
-    return out[0] if single else out
+        vjp[chunk] = g[:m]
+    return eps, cots, vjp
 
 
 @singledispatch
@@ -395,7 +409,33 @@ def input_grad(model, x, t, sched: NoiseSchedule, cotangent):
 
 @input_grad.register
 def _(model: EpsModel, x, t, sched: NoiseSchedule, cotangent):
-    return _input_grad(model, x, t, cotangent, sched)
+    rows, t, cots, single = _batch(x, t, sched, cotangent)
+    _, _, vjp = _eps_and_vjp(model, rows, t, sched, lambda chunk, _: cots[chunk])
+    return vjp[0] if single else vjp
+
+
+@singledispatch
+def eps_and_input_grad(model, x, t, sched: NoiseSchedule, cotangent_of):
+    """``(eps, cotangent, vjp)`` at points ``x`` and step(s) ``t``.
+
+    ``eps`` is ``predict_eps(model, x, t, sched)``, ``cotangent`` is
+    ``cotangent_of(x, eps)`` and ``vjp`` is ``input_grad`` of that
+    cotangent, each with the bits the separate calls give.  An ``EpsModel``
+    runs its hidden layers once for all three, calling ``cotangent_of`` on
+    the rows of one chunk at a time, so row i of its result may depend only
+    on row i of ``x`` and of ``eps``.  This default composes ``predict_eps``
+    and ``input_grad``.
+    """
+    eps = predict_eps(model, x, t, sched)
+    cot = cotangent_of(np.asarray(x, dtype=np.float64), eps)
+    return eps, cot, input_grad(model, x, t, sched, cot)
+
+
+@eps_and_input_grad.register
+def _(model: EpsModel, x, t, sched: NoiseSchedule, cotangent_of):
+    rows, t, _, single = _batch(x, t, sched)
+    out = _eps_and_vjp(model, rows, t, sched, lambda chunk, eps: cotangent_of(rows[chunk], eps))
+    return tuple(arr[0] for arr in out) if single else out
 
 
 def save_checkpoint(model: EpsModel, sched: NoiseSchedule, path) -> None:

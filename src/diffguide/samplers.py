@@ -13,6 +13,8 @@ estimated value survives, ties go to the lowest stream id.  Special cases:
 
 Gradient guidance (``grad_guided_sample``) instead shifts the predicted
 noise along the reward gradient each step and needs a differentiable reward.
+Its batch stops at the first step that leaves a state outside
+``STATE_BOUND`` (see ``grad_guided_batch``).
 
 Every random draw is keyed by ``(seed, role, step, stream)`` (see
 ``streams``), which makes runs reproducible, order-independent and exactly
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .model import input_grad, predict_eps
+from .model import eps_and_input_grad, predict_eps
 from .rewards import (
     GaussianReward,
     RewardSpec,
@@ -49,12 +51,27 @@ from .rewards import (
 from .schedule import NoiseSchedule, posterior_mean, tweedie_x0
 
 
+# Bound on every coordinate of a gradient-guided state.  A state beyond it,
+# or not finite, has diverged: the study's prior means and reward centre
+# have coordinates of at most 14, every state of the trained study-scale
+# checkpoints' guided chains at scales 1 and 2 stayed within |x| <= 16.7,
+# and the chains that blow up at scale 5 pass 1e6 within five steps of the
+# start.
+STATE_BOUND = 1e6
+
+
 @dataclass
 class RunCounters:
-    """Per-run instrumentation; identical across the runs of one batch."""
+    """Per-run instrumentation; identical across the runs of one batch.
+
+    ``stopped_at`` is the step at which a batch stopped early because a
+    state diverged (``None`` when it ran to the end); the counts then cover
+    only the steps that ran.
+    """
 
     model_evals: int = 0
     reward_queries: int = 0
+    stopped_at: int | None = None
 
 
 def _as_seed_array(seeds) -> np.ndarray:
@@ -214,6 +231,8 @@ def _one_run(batch, counters: RunCounters | None) -> np.ndarray:
     if counters is not None:
         counters.model_evals += c.model_evals
         counters.reward_queries += c.reward_queries
+        if c.stopped_at is not None:
+            counters.stopped_at = c.stopped_at
     return out[0]
 
 
@@ -256,6 +275,12 @@ def stepwise_sample(model, sched, spec, n_streams, seed, counters=None) -> np.nd
     return blockwise_sample(model, sched, spec, n_streams, 1, seed, counters)
 
 
+def _endpoint_score(spec: GaussianReward, sched: NoiseSchedule, t: int):
+    """Row-wise ``grad log r`` at the predicted endpoints of states at step
+    ``t``, as a function of the states and their predicted noise."""
+    return lambda x, eps_hat: reward_grad(spec, tweedie_x0(x, eps_hat, t, sched))
+
+
 def grad_guided_batch(
     model,
     sched: NoiseSchedule,
@@ -272,8 +297,13 @@ def grad_guided_batch(
         eps' = eps - sqrt(1 - ab_t) * scale * grad_x log r(x0_hat(x))
 
     With ``exact_chain`` the chain rule runs through the predictor's input
-    Jacobian; otherwise the frozen-noise approximation
-    ``d x0_hat / d x ~= I / sqrt(ab_t)`` is used.
+    Jacobian (``eps_and_input_grad``, one model pass per step); otherwise
+    the frozen-noise approximation ``d x0_hat / d x ~= I / sqrt(ab_t)`` is
+    used.
+
+    If a step leaves any state non-finite or with a coordinate beyond
+    ``STATE_BOUND``, the whole batch stops there: every sample is NaN,
+    ``stopped_at`` names that step and the counts cover the steps that ran.
     """
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
@@ -286,18 +316,20 @@ def grad_guided_batch(
     counters = RunCounters()
     x = streams.normal_pair(seeds, streams.ROLE_INIT, 0, 0)
     for t in range(sched.T, 0, -1):
-        eps_hat = predict_eps(model, x, t, sched)
         counters.model_evals += 1
         if scale > 0:
             ab = sched.alpha_bar[t]
-            g = reward_grad(spec, tweedie_x0(x, eps_hat, t, sched))
+            score = _endpoint_score(spec, sched, t)
             counters.reward_queries += 1
             if exact_chain:
-                vjp = input_grad(model, x, t, sched, g)
+                eps_hat, g, vjp = eps_and_input_grad(model, x, t, sched, score)
                 glog = (g - np.sqrt(1.0 - ab) * vjp) / np.sqrt(ab)
             else:
-                glog = g / np.sqrt(ab)
+                eps_hat = predict_eps(model, x, t, sched)
+                glog = score(x, eps_hat) / np.sqrt(ab)
             eps_hat = eps_hat - np.sqrt(1.0 - ab) * scale * glog
+        else:
+            eps_hat = predict_eps(model, x, t, sched)
         mu = posterior_mean(x, eps_hat, t, sched)
         if t > 1:
             x = mu + np.sqrt(sched.beta[t]) * streams.normal_pair(
@@ -305,6 +337,10 @@ def grad_guided_batch(
             )
         else:
             x = mu
+        # NaN fails the comparison too
+        if not np.all(np.abs(x) <= STATE_BOUND):
+            counters.stopped_at = t
+            return np.full_like(x, np.nan), counters
     return x, counters
 
 

@@ -55,6 +55,11 @@ def build_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.
 
 
 def _check_t(t, T: int, low: int = 1):
+    """``t`` as an array, checked to be integral and within ``[low, T]``."""
+    if type(t) is int and low <= t <= T:
+        # the samplers' step loops pass plain ints; ``bool`` is not ``int``
+        # here, so it still meets the dtype check below
+        return np.asarray(t)
     t = np.asarray(t)
     if t.dtype.kind not in "iu":
         raise ValueError(f"step index must be integral, got dtype {t.dtype}")

@@ -120,6 +120,18 @@ class TestSampleAndGuide:
         assert len(payload["sample"]) == 2
         assert payload["wall_ms"] > 0
 
+    def test_guide_refuses_a_diverged_run(self, trained, capsys):
+        path, _, ckpt = trained
+        code = main(
+            ["guide", "--config", str(path), "--checkpoint", str(ckpt),
+             "--method", "grad", "--scale", "1e6"]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grad batch (n=1, scale=1000000.0) diverged" in captured.err
+        assert "at step t=30 " in captured.err
+
     def test_guide_missing_checkpoint(self, trained):
         path, _, _ = trained
         code = main(
@@ -153,12 +165,10 @@ class TestSweepCommand:
         assert "teleport" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize(
-        "scale, reason",
-        [(1e6, "Gaussian fit of its samples is not finite"), (1e200, "samples are not finite")],
-    )
-    def test_diverged_point_exits_3(self, trained, tmp_path, capsys, scale, reason):
-        """A guided batch that blows up is refused, not written as a NaN row."""
+    @pytest.mark.parametrize("scale", [1e6, 1e200])
+    def test_diverged_point_exits_3(self, trained, tmp_path, capsys, scale):
+        """A guided batch that blows up is refused at the step it leaves the
+        bound (here the first, t=30), not written as a NaN row."""
         _, cfg, ckpt = trained
         cfg = dict(cfg, sweep=[{"method": "base"}, {"method": "grad", "scale": scale}])
         path = tmp_path / "diverging.json"
@@ -167,7 +177,7 @@ class TestSweepCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert f"grad batch (n=1, scale={scale!r}) diverged" in err
-        assert reason in err
+        assert "left the bound |x| <= 1e+06 at step t=30 of the reverse chain t=30..1" in err
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
 

@@ -98,6 +98,40 @@ class TestRunSweep:
         assert len(rows) == 3
         assert all(np.isfinite(r.expected_reward) for r in rows)
 
+    def test_diverged_point_names_the_step(self):
+        """A gradient batch that leaves the bound is refused with the step
+        at which it stopped (the first step at scale 1e3 on this model)."""
+        points = [GuidancePoint(method="base"), GuidancePoint(method="grad", scale=1e3)]
+        with pytest.raises(
+            GuidanceDivergedError,
+            match=r"grad batch \(n=1, scale=1000\.0\) diverged: a state left the bound "
+            r"\|x\| <= 1e\+06 at step t=39 of the reverse chain t=40\.\.1",
+        ):
+            run_sweep(MODEL, SCHED, REWARD, points, 20, 20, seed=5)
+
+    def test_refused_after_the_sampler_returns(self, monkeypatch):
+        """The refusal comes after ``grad_guided_batch`` returns its NaN
+        batch, and after the point's base batch is drawn, so a caller that
+        wraps the samplers sees both calls complete."""
+        from diffguide import experiments
+
+        returned = []
+        for name in ("base_sample", "grad_guided_batch"):
+            fn = getattr(experiments, name)
+
+            def wrapped(*args, _fn=fn, _name=name, **kwargs):
+                out = _fn(*args, **kwargs)
+                returned.append((_name, out))
+                return out
+
+            monkeypatch.setattr(experiments, name, wrapped)
+        with pytest.raises(GuidanceDivergedError, match="at step t=40 "):
+            run_sweep(MODEL, SCHED, REWARD, [GuidancePoint(method="grad", scale=1e6)], 10, 10, seed=5)
+        assert [name for name, _ in returned] == ["base_sample", "grad_guided_batch"]
+        samples, counters = returned[1][1]
+        assert np.all(np.isnan(samples))
+        assert (counters.stopped_at, counters.model_evals) == (SCHED.T, 1)
+
 
 class TestShiftStudy:
     def test_shifted_reward_geometry(self):
@@ -163,7 +197,7 @@ class TestShiftStudy:
             cells=(GuidancePoint(method="grad", scale=1e200),),
             runs_per_cell=4,
         )
-        with pytest.raises(GuidanceDivergedError, match=r"grad batch .*scale=1e\+200"):
+        with pytest.raises(GuidanceDivergedError, match=r"grad batch .*scale=1e\+200.* at step t=40 "):
             run_shift_study(MODEL, SCHED, REWARD, paper_prior(), study, seed=0)
 
 

@@ -8,7 +8,9 @@ import pytest
 
 from diffguide import (
     EpsModel,
+    IsotropicGaussianEps,
     build_linear_schedule,
+    eps_and_input_grad,
     init_model,
     input_grad,
     load_checkpoint,
@@ -280,6 +282,54 @@ class TestInputGrad:
         got = input_grad(model, [0.7, 0.1], 3, sched, cot)
         expect = cot @ model.w3.T @ model.w2.T @ model.w1[:2].T
         np.testing.assert_allclose(got, expect, rtol=1e-12)
+
+
+class TestEpsAndInputGrad:
+    """One pass for the noise, a row-wise cotangent and its input VJP."""
+
+    @staticmethod
+    def cotangent_of(x, eps):
+        return np.sin(x) - 2.0 * eps
+
+    @pytest.mark.parametrize("n", [1, 2 * model_module.CHUNK_ROWS + 5])
+    @pytest.mark.parametrize("per_row_steps", [False, True])
+    def test_matches_separate_calls(self, n, per_row_steps):
+        sched = build_linear_schedule(100)
+        model = init_model(16, 8, seed=4, in_shift=[1.0, -2.0], in_scale=2.5)
+        rng = np.random.default_rng(n)
+        x = rng.normal(scale=3.0, size=(n, 2))
+        t = rng.integers(1, 101, size=n) if per_row_steps else 37
+        eps, cot, vjp = eps_and_input_grad(model, x, t, sched, self.cotangent_of)
+        want_eps = predict_eps(model, x, t, sched)
+        want_cot = self.cotangent_of(x, want_eps)
+        np.testing.assert_array_equal(eps, want_eps)
+        np.testing.assert_array_equal(cot, want_cot)
+        np.testing.assert_array_equal(vjp, input_grad(model, x, t, sched, want_cot))
+
+    def test_single_point(self):
+        sched = build_linear_schedule(100)
+        model = init_model(16, 8, seed=4)
+        x = np.array([0.4, -1.3])
+        got = eps_and_input_grad(model, x, 12, sched, self.cotangent_of)
+        batch = eps_and_input_grad(model, x[None], 12, sched, self.cotangent_of)
+        assert [a.shape for a in got] == [(2,)] * 3
+        for single, rows in zip(got, batch):
+            np.testing.assert_array_equal(single, rows[0])
+
+    def test_default_composes_the_two_functions(self):
+        """A predictor without its own pass (the closed-form Gaussian one)
+        gets ``predict_eps`` then ``input_grad``."""
+        sched = build_linear_schedule(100)
+        model = IsotropicGaussianEps(mean=np.array([1.0, -1.0]), sigma=2.0)
+        x = np.random.default_rng(5).normal(size=(7, 2))
+        eps, cot, vjp = eps_and_input_grad(model, x, 60, sched, self.cotangent_of)
+        np.testing.assert_array_equal(eps, predict_eps(model, x, 60, sched))
+        np.testing.assert_array_equal(cot, self.cotangent_of(x, eps))
+        np.testing.assert_array_equal(vjp, input_grad(model, x, 60, sched, cot))
+
+    def test_unregistered_model(self):
+        with pytest.raises(TypeError, match="no noise predictor"):
+            eps_and_input_grad(object(), np.zeros(2), 1, build_linear_schedule(10), self.cotangent_of)
 
 
 class TestChunking:

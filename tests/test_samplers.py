@@ -26,12 +26,35 @@ from diffguide import (
     predict_eps,
     stepwise_sample,
 )
-from diffguide import streams
-from diffguide.samplers import _block_bounds
+from diffguide import input_grad, reward_grad, streams, tweedie_x0
+from diffguide.model import CHUNK_ROWS
+from diffguide.samplers import STATE_BOUND, _block_bounds
 
 SCHED = build_linear_schedule(50)
 MODEL = init_model(12, 6, seed=1)
 REWARD = GaussianReward(mu=[14.0, 3.0], sigma=2.0)
+
+
+def separate_calls_grad_batch(model, sched, spec, scale, seeds):
+    """Exact-chain gradient guidance with a ``predict_eps`` and an
+    ``input_grad`` call per step: ``(samples, last step)``.  The chain ends
+    early at the first step after which a state is not finite or has a
+    coordinate beyond ``STATE_BOUND``."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    x = streams.normal_pair(seeds, streams.ROLE_INIT, 0, 0)
+    for t in range(sched.T, 0, -1):
+        ab = sched.alpha_bar[t]
+        eps_hat = predict_eps(model, x, t, sched)
+        g = reward_grad(spec, tweedie_x0(x, eps_hat, t, sched))
+        vjp = input_grad(model, x, t, sched, g)
+        glog = (g - np.sqrt(1.0 - ab) * vjp) / np.sqrt(ab)
+        eps_hat = eps_hat - np.sqrt(1.0 - ab) * scale * glog
+        x = posterior_mean(x, eps_hat, t, sched)
+        if t > 1:
+            x = x + np.sqrt(sched.beta[t]) * streams.normal_pair(seeds, streams.ROLE_STEP, t, 0)
+        if not (np.all(np.isfinite(x)) and np.max(np.abs(x)) <= STATE_BOUND):
+            break
+    return x, t
 
 
 class TestDdpmStep:
@@ -215,6 +238,18 @@ class TestBatchedRuns:
             single = grad_guided_sample(MODEL, SCHED, REWARD, 1.0, seed=s)
             np.testing.assert_array_equal(batch[i], single)
 
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_grad_batch_matches_separate_calls(self, scale):
+        """One model pass per step for the noise and its input VJP gives the
+        bits of separate ``predict_eps`` and ``input_grad`` calls, over three
+        chunks, the last one padded."""
+        seeds = [streams.derive_seed(903, i) for i in range(2 * CHUNK_ROWS + 5)]
+        got, counters = grad_guided_batch(MODEL, SCHED, REWARD, scale, seeds)
+        want, last = separate_calls_grad_batch(MODEL, SCHED, REWARD, scale, seeds)
+        assert last == 1
+        np.testing.assert_array_equal(got, want)
+        assert counters.stopped_at is None
+
     def test_validation(self):
         with pytest.raises(ValueError):
             blockwise_sample(MODEL, SCHED, REWARD, 0, 10, seed=0)
@@ -324,8 +359,6 @@ class TestGradGuidance:
 
         eps_hat = predict_eps(model, x, t, sched)
         mu_plain = posterior_mean(x, eps_hat, t, sched)
-        from diffguide import input_grad, reward_grad, tweedie_x0
-
         g = reward_grad(spec, tweedie_x0(x, eps_hat, t, sched))
         vjp = input_grad(model, x, t, sched, g)
         glog = (g - np.sqrt(1.0 - ab) * vjp) / np.sqrt(ab)
@@ -338,3 +371,30 @@ class TestGradGuidance:
         assert np.all(np.isfinite(got))
         exact = grad_guided_sample(MODEL, SCHED, REWARD, 1.0, seed=3, exact_chain=True)
         assert not np.array_equal(got, exact)
+
+
+class TestDivergenceGuard:
+    def test_batch_stops_at_the_step_it_leaves_the_bound(self):
+        """At scale 1000 a state passes the bound a few steps in: the batch
+        stops at that step, returns NaN and counts only the steps it ran."""
+        seeds = [streams.derive_seed(904, i) for i in range(20)]
+        out, counters = grad_guided_batch(MODEL, SCHED, REWARD, 1000.0, seeds)
+        _, step = separate_calls_grad_batch(MODEL, SCHED, REWARD, 1000.0, seeds)
+        assert SCHED.T - 10 < step < SCHED.T
+        assert counters.stopped_at == step
+        assert out.shape == (20, 2) and np.all(np.isnan(out))
+        ran = SCHED.T - step + 1
+        assert (counters.model_evals, counters.reward_queries) == (ran, ran)
+
+    def test_frozen_chain_is_guarded(self):
+        seeds = [streams.derive_seed(904, i) for i in range(20)]
+        out, counters = grad_guided_batch(MODEL, SCHED, REWARD, 1000.0, seeds, exact_chain=False)
+        assert counters.stopped_at is not None and np.all(np.isnan(out))
+        assert counters.model_evals == SCHED.T - counters.stopped_at + 1
+
+    def test_single_run_reports_the_step(self):
+        c = RunCounters()
+        got = grad_guided_sample(MODEL, SCHED, REWARD, 1e6, seed=0, counters=c)
+        assert np.all(np.isnan(got))
+        assert c.stopped_at == SCHED.T - 1
+        assert (c.model_evals, c.reward_queries) == (2, 2)
