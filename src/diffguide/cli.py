@@ -236,9 +236,5 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
 
 
-def entry() -> int:
-    return main()
-
-
 if __name__ == "__main__":
     sys.exit(main())

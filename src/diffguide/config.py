@@ -9,7 +9,7 @@ default.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -58,6 +58,8 @@ class GuidancePoint:
             raise ConfigError("n_streams must be >= 1")
         if not (0.0 < self.eta <= 1.0):
             raise ConfigError("eta must be in (0, 1]")
+        if self.eta != 1.0 and self.method != "blockwise_ref":
+            raise ConfigError(f"eta applies to blockwise_ref only; {self.method} needs eta = 1")
         if self.scale < 0:
             raise ConfigError("scale must be >= 0")
 
@@ -131,28 +133,42 @@ class ExperimentConfig:
             raise ConfigError("kl_samples must be >= 2")
 
 
+def _known(section: dict, keys, where: str) -> dict:
+    """The section itself, once it holds no key outside ``keys``."""
+    extra = set(section) - set(keys)
+    if extra:
+        raise ConfigError(f"unknown {where} keys: {sorted(extra)}")
+    return section
+
+
 def _parse_reward(section) -> RewardSpec:
     kind = section.get("kind", "gaussian")
     if kind == "gaussian":
+        _known(section, ("kind", "mu", "sigma"), "gaussian reward")
         return GaussianReward(mu=section["mu"], sigma=float(section.get("sigma", 2.0)))
     if kind == "quantized":
+        _known(section, ("kind", "mu", "delta"), "quantized reward")
         return QuantizedReward(mu=section["mu"], delta=float(section.get("delta", 1.0)))
     raise ConfigError(f"unknown reward kind {kind!r}")
 
 
 def _parse_point(entry) -> GuidancePoint:
-    known = {"method", "n_streams", "block_size", "eta", "scale", "exact_chain", "x_ref", "seed"}
-    extra = set(entry) - known
-    if extra:
-        raise ConfigError(f"unknown sweep point keys: {sorted(extra)}")
+    _known(entry, [f.name for f in fields(GuidancePoint)], "sweep point")
     if "x_ref" in entry and entry["x_ref"] is not None:
         entry = dict(entry, x_ref=tuple(float(v) for v in entry["x_ref"]))
     return GuidancePoint(**entry)
 
 
+_TOP_KEYS = (
+    "seed", "out_dir", "schedule", "model", "prior", "reward", "train",
+    "sweep", "samples_per_point", "kl_samples", "shift_study",
+)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     try:
-        prior_sec = raw.get("prior", {})
+        _known(raw, _TOP_KEYS, "top-level")
+        prior_sec = _known(raw.get("prior", {}), ("weights", "means", "sigma"), "prior")
         if prior_sec:
             prior = GmmSpec(
                 weights=prior_sec["weights"],
@@ -164,12 +180,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
             prior = paper_prior()
         reward = _parse_reward(raw.get("reward", {"kind": "gaussian", "mu": [14.0, 3.0]}))
-        sched_sec = raw.get("schedule", {})
-        train_sec = dict(raw.get("train", {}))
-        model_sec = raw.get("model", {})
+        sched_sec = _known(raw.get("schedule", {}), ("T", "beta_start", "beta_end"), "schedule")
+        train_sec = _known(raw.get("train", {}), [f.name for f in fields(TrainConfig)], "train")
+        model_sec = _known(
+            raw.get("model", {}), ("hidden_width", "embed_width", "activation", "freq_base"), "model"
+        )
         shift = None
         if "shift_study" in raw:
-            ss = raw["shift_study"]
+            ss = _known(raw["shift_study"], ("displacements", "cells", "runs_per_cell"), "shift_study")
             shift = ShiftStudyConfig(
                 displacements=tuple(float(d) for d in ss["displacements"]),
                 cells=tuple(_parse_point(c) for c in ss["cells"]),

@@ -1,9 +1,11 @@
 """Sweep and shift-study harnesses plus their CSV/JSON emission.
 
-Row schemas are fixed: ``SWEEP_COLUMNS`` for trade-off sweeps and
-``SHIFT_COLUMNS`` for the displacement study.  CSV output is deterministic
-for a given config and checkpoint; measured wall times therefore go to the
-JSON summary only and the ``wall_ms`` CSV column is left empty.
+Row schemas are the fields of ``MetricsRow`` for trade-off sweeps and of
+``ShiftRow`` for the displacement study (``SWEEP_COLUMNS`` and
+``SHIFT_COLUMNS`` list them); each cell is written and read by its field's
+type.  CSV output is deterministic for a given config and checkpoint;
+measured wall times therefore go to the JSON summary only and the
+``wall_ms`` CSV column is left empty.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import streams
-from .config import ExperimentConfig, GuidancePoint, ShiftStudyConfig
+from .config import ConfigError, ExperimentConfig, GuidancePoint, ShiftStudyConfig
 from .metrics import (
     GaussianFit,
     batch_variance,
@@ -32,37 +34,6 @@ from .samplers import STATE_BOUND, RunCounters, base_sample, blockwise_batch, gr
 from .schedule import NoiseSchedule
 from .training import GmmSpec, mixture_mean
 
-SWEEP_COLUMNS = (
-    "method",
-    "n",
-    "b",
-    "eta",
-    "scale",
-    "seed",
-    "expected_reward",
-    "normalized_reward",
-    "win_rate",
-    "kl_fit",
-    "kl_bound",
-    "variance_x",
-    "variance_y",
-    "model_evals",
-    "reward_queries",
-    "wall_ms",
-)
-
-SHIFT_COLUMNS = (
-    "displacement",
-    "method",
-    "n",
-    "b",
-    "eta",
-    "runs",
-    "mean_reward",
-    "variance_x",
-    "variance_y",
-)
-
 # seed-derivation tags so harness streams never collide
 _TAG_BASE_BATCH = 101
 _TAG_SWEEP_ROW = 102
@@ -71,8 +42,9 @@ _TAG_SHIFT = 104
 
 
 class GuidanceDivergedError(RuntimeError):
-    """A guided batch stopped at a diverged state, or produced non-finite
-    samples or an unusable Gaussian fit."""
+    """A guided batch left the bound ``samplers.STATE_BOUND``: it stopped at
+    the step where a state diverged, or returned a sample that is not finite
+    or has a coordinate beyond the bound."""
 
 
 def _diverged(point: GuidancePoint, what: str) -> GuidanceDivergedError:
@@ -82,30 +54,41 @@ def _diverged(point: GuidancePoint, what: str) -> GuidanceDivergedError:
 
 
 def _check_batch(point: GuidancePoint, samples: np.ndarray, fit_rows: int | None = None) -> GaussianFit:
-    """Refuse a batch whose samples are not finite, or whose Gaussian fit
-    is not a finite, positive-definite Gaussian; return that fit.
+    """Refuse a batch with a sample that is not finite or has a coordinate
+    beyond ``STATE_BOUND``, the bound gradient guidance applies at every
+    step; return the Gaussian fit of the first ``fit_rows`` samples (all by
+    default), the rows a sweep's KL column uses.
 
-    The fit is of the first ``fit_rows`` samples (all by default), the
-    rows a sweep's KL column uses.  A blown-up chain can stay finite yet
-    spread so far (1e127 and beyond) that the fit's ridge is lost to
-    rounding and its covariance is no longer positive-definite.
+    Within the bound that fit is finite and positive-definite, because
+    ``fit_gaussian``'s ridge scales with the covariance's trace.
     """
-    bad = int(np.sum(~np.all(np.isfinite(samples), axis=1)))
+    # NaN fails the comparison too
+    bad = int(np.sum(~np.all(np.abs(samples) <= STATE_BOUND, axis=1)))
     if bad:
-        raise _diverged(point, f"{bad} of {len(samples)} samples are not finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        fit = fit_gaussian(samples[:fit_rows])
-    if not (np.all(np.isfinite(fit.mean)) and np.all(np.isfinite(fit.cov))):
-        raise _diverged(point, "the Gaussian fit of its samples is not finite")
-    try:
-        np.linalg.cholesky(fit.cov)
-    except np.linalg.LinAlgError:
-        raise _diverged(point, "the Gaussian fit of its samples is not positive-definite") from None
-    return fit
+        raise _diverged(point, f"{bad} of {len(samples)} samples left the bound |x| <= {STATE_BOUND:g}")
+    return fit_gaussian(samples[:fit_rows])
+
+
+# CSV cell format and parser by declared field type (annotations are strings
+# under ``from __future__ import annotations``)
+_FORMAT = {"str": str, "int": str, "float": lambda v: repr(float(v))}
+_PARSE = {"str": str, "int": int, "float": float}
+
+
+class _CsvRow:
+    """Base of the harness row dataclasses: their fields, in order, are the
+    CSV columns."""
+
+    def csv_values(self) -> list[str]:
+        # wall_ms stays out of the CSV so repeated runs are byte-identical
+        return [
+            "" if f.name == "wall_ms" else _FORMAT[f.type](getattr(self, f.name))
+            for f in fields(self)
+        ]
 
 
 @dataclass
-class MetricsRow:
+class MetricsRow(_CsvRow):
     method: str
     n: int
     b: int
@@ -123,27 +106,6 @@ class MetricsRow:
     reward_queries: int
     wall_ms: float
 
-    def csv_values(self) -> list[str]:
-        # wall_ms stays out of the CSV so repeated runs are byte-identical
-        return [
-            self.method,
-            str(self.n),
-            str(self.b),
-            repr(float(self.eta)),
-            repr(float(self.scale)),
-            str(self.seed),
-            repr(float(self.expected_reward)),
-            repr(float(self.normalized_reward)),
-            repr(float(self.win_rate)),
-            repr(float(self.kl_fit)),
-            repr(float(self.kl_bound)),
-            repr(float(self.variance_x)),
-            repr(float(self.variance_y)),
-            str(self.model_evals),
-            str(self.reward_queries),
-            "",
-        ]
-
 
 def _run_seeds(row_seed: int, count: int) -> np.ndarray:
     return np.asarray(
@@ -154,7 +116,7 @@ def _run_seeds(row_seed: int, count: int) -> np.ndarray:
 def _draw_refs(spec: RewardSpec, run_seeds: np.ndarray) -> np.ndarray:
     """Per-run reference points drawn from the reward distribution."""
     if not isinstance(spec, GaussianReward):
-        raise ValueError(
+        raise ConfigError(
             "blockwise_ref needs an explicit x_ref when the reward has no distribution"
         )
     z = streams.normal_pair(run_seeds, streams.ROLE_REF, 0, 0)
@@ -216,9 +178,9 @@ def run_sweep(
 ) -> list[MetricsRow]:
     """Evaluate each guidance point against a shared base batch.
 
-    Raises ``GuidanceDivergedError`` for a point whose batch stopped at a
-    diverged state, or whose samples are not finite or whose Gaussian fit is
-    unusable, instead of writing a row of NaN metrics.
+    Raises ``GuidanceDivergedError`` for a point whose batch left
+    ``STATE_BOUND`` (see ``_check_batch``), instead of writing a row of NaN
+    metrics.
     """
     base_n = max(samples_per_point, kl_samples)
     base = base_sample(model, sched, base_n, streams.derive_seed(seed, _TAG_BASE_BATCH))
@@ -260,7 +222,7 @@ def run_sweep(
 
 
 @dataclass
-class ShiftRow:
+class ShiftRow(_CsvRow):
     displacement: float
     method: str
     n: int
@@ -271,18 +233,10 @@ class ShiftRow:
     variance_x: float
     variance_y: float
 
-    def csv_values(self) -> list[str]:
-        return [
-            repr(float(self.displacement)),
-            self.method,
-            str(self.n),
-            str(self.b),
-            repr(float(self.eta)),
-            str(self.runs),
-            repr(float(self.mean_reward)),
-            repr(float(self.variance_x)),
-            repr(float(self.variance_y)),
-        ]
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(MetricsRow))
+SHIFT_COLUMNS = tuple(f.name for f in fields(ShiftRow))
+_COLUMN_TYPES = {f.name: f.type for row in (MetricsRow, ShiftRow) for f in fields(row)}
 
 
 def shifted_reward(spec: RewardSpec, prior: GmmSpec, displacement: float) -> RewardSpec:
@@ -308,9 +262,8 @@ def run_shift_study(
 ) -> list[ShiftRow]:
     """Mean reward and output variance per (displacement, method cell).
 
-    Raises ``GuidanceDivergedError`` for a cell whose batch stopped at a
-    diverged state, or whose samples are not finite or whose Gaussian fit
-    is unusable.
+    Raises ``GuidanceDivergedError`` for a cell whose batch left
+    ``STATE_BOUND`` (see ``_check_batch``).
     """
     rows = []
     for di, d in enumerate(study.displacements):
@@ -351,23 +304,22 @@ def write_csv(path, columns, rows) -> None:
 
 
 def read_csv(path) -> tuple[list[str], list[dict]]:
-    """Parse a harness CSV back into header plus per-row dicts."""
+    """Parse a harness CSV back into header plus per-row dicts.
+
+    Each cell is parsed by its column's field type, an empty number
+    (``wall_ms``) as NaN; a column of no harness row stays text.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        out = []
-        for values in reader:
-            row = {}
-            for key, val in zip(header, values):
-                if key in ("method",):
-                    row[key] = val
-                elif val == "":
-                    row[key] = math.nan
-                elif key in ("n", "b", "seed", "model_evals", "reward_queries", "runs"):
-                    row[key] = int(val)
-                else:
-                    row[key] = float(val)
-            out.append(row)
+        kinds = [_COLUMN_TYPES.get(key, "str") for key in header]
+        out = [
+            {
+                key: math.nan if val == "" and kind != "str" else _PARSE[kind](val)
+                for key, kind, val in zip(header, kinds, values)
+            }
+            for values in reader
+        ]
     return header, out
 
 

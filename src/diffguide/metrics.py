@@ -11,6 +11,9 @@ from .rewards import RewardSpec, reward
 
 RIDGE = 1e-8
 MIN_EIG = 1e-10
+# the ridge also scales with the covariance's trace, so that it stays above
+# the rounding error of a widely spread batch's covariance
+RELATIVE_RIDGE = 1e-12
 
 # selection-based samplers admit an analytic divergence bound; these tags
 # identify which scaling applies
@@ -26,8 +29,11 @@ class GaussianFit:
 def fit_gaussian(samples) -> GaussianFit:
     """Sample mean and unbiased covariance, ridge-regularized if degenerate.
 
-    A collapsed batch (eigenvalue below 1e-10) gets 1e-8 added to the
-    diagonal so downstream KL stays finite and large instead of crashing.
+    A collapsed batch (smallest eigenvalue below ``max(MIN_EIG,
+    RELATIVE_RIDGE * trace)``) gets ``max(RIDGE, RELATIVE_RIDGE * trace)``
+    added to the diagonal, so the fit of any finite batch within
+    ``samplers.STATE_BOUND`` is positive-definite and downstream KL stays
+    finite and large instead of crashing.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != 2:
@@ -37,8 +43,9 @@ def fit_gaussian(samples) -> GaussianFit:
     mean = x.mean(axis=0)
     cov = np.cov(x, rowvar=False)
     cov = 0.5 * (cov + cov.T)
-    if np.linalg.eigvalsh(cov)[0] < MIN_EIG:
-        cov = cov + RIDGE * np.eye(2)
+    relative = RELATIVE_RIDGE * np.trace(cov)
+    if np.linalg.eigvalsh(cov)[0] < max(MIN_EIG, relative):
+        cov = cov + max(RIDGE, relative) * np.eye(2)
     return GaussianFit(mean=mean, cov=cov)
 
 

@@ -1,6 +1,10 @@
 """End-to-end CLI behavior on a miniature configuration."""
 
+import importlib
 import json
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,3 +226,14 @@ class TestPlotCommand:
         assert cfg.T == 100
         assert cfg.train.epochs == 20
         assert cfg.samples_per_point == 200
+
+
+def test_console_script_target_runs(monkeypatch, capsys):
+    """The ``diffguide`` console script in pyproject.toml resolves to a
+    callable that, like the generated wrapper, reads ``sys.argv``."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, attr = re.search(r'^diffguide = "([\w.]+):(\w+)"$', text, re.M).groups()
+    target = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["diffguide", "--help"])
+    assert target() == 0
+    assert capsys.readouterr().out.startswith("usage: diffguide ")

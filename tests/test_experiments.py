@@ -1,16 +1,19 @@
 """Sweep and shift-study harnesses: schemas, determinism, accounting."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from diffguide import build_linear_schedule, fit_gaussian, init_model, kl_upper_bound
+from diffguide import build_linear_schedule, fit_gaussian, gaussian_kl, init_model, kl_upper_bound
 from diffguide.config import GuidancePoint, ShiftStudyConfig
 from diffguide.experiments import (
     SHIFT_COLUMNS,
     SWEEP_COLUMNS,
     GuidanceDivergedError,
+    MetricsRow,
+    ShiftRow,
     _check_batch,
     rows_to_csv,
     run_shift_study,
@@ -203,28 +206,39 @@ class TestShiftStudy:
 
 class TestBatchCheck:
     def test_collinear_blow_up_is_refused(self):
-        """Finite samples spread along a line at 1e127 give a covariance
-        whose ridge is lost to rounding: the fit is not positive-definite."""
+        """Finite samples spread along a line at 1e127 are beyond the bound."""
         t = np.linspace(-1.0, 1.0, 50)[:, None]
         samples = 3e127 * t * np.array([[1.0, 0.7]])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(fit_gaussian(samples).cov)
         point = GuidancePoint(method="grad", scale=5.0)
-        with pytest.raises(GuidanceDivergedError, match="not positive-definite"):
+        with pytest.raises(
+            GuidanceDivergedError,
+            match=r"grad batch \(n=1, scale=5\.0\) diverged: 50 of 50 samples left the bound "
+            r"\|x\| <= 1e\+06$",
+        ):
             _check_batch(point, samples)
 
-    def test_fit_rows_are_checked(self):
-        """The fit that is checked is the one of the first ``fit_rows``
-        samples, which a sweep's KL column uses: here those lie on a line
-        at 1e127 while the whole batch spreads in both directions."""
-        t = np.linspace(-1.0, 1.0, 50)[:, None]
-        line = 3e127 * t * np.array([[1.0, 0.7]])
-        across = 3e127 * t * np.array([[0.7, -1.0]])
-        samples = np.concatenate([line, across])
+    def test_one_sample_beyond_the_bound_is_refused(self):
+        samples = np.random.default_rng(1).normal(size=(30, 2))
+        samples[7, 1] = -1.5e6
+        samples[9, 0] = np.nan
+        with pytest.raises(GuidanceDivergedError, match="2 of 30 samples left the bound"):
+            _check_batch(GuidancePoint(method="base"), samples)
+
+    @pytest.mark.parametrize("spread", [1e4, 1e5, 1e6])
+    def test_in_bound_collinear_batches_are_accepted(self, spread):
+        """Batches on a line within the bound get a positive-definite fit
+        and a finite KL; with an absolute ridge some fits were not
+        positive-definite and the batches were refused as diverged."""
+        rng = np.random.default_rng(int(spread))
+        base = fit_gaussian(rng.normal(size=(200, 2)))
         point = GuidancePoint(method="grad", scale=5.0)
-        _check_batch(point, samples)
-        with pytest.raises(GuidanceDivergedError, match="not positive-definite"):
-            _check_batch(point, samples, fit_rows=50)
+        for _ in range(200):
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            direction = np.array([[np.cos(angle), np.sin(angle)]])
+            samples = spread * rng.uniform(-1.0, 1.0, size=(40, 1)) * direction
+            fit = _check_batch(point, samples)
+            np.linalg.cholesky(fit.cov)
+            assert np.isfinite(gaussian_kl(fit, base))
 
     def test_returns_the_fit(self):
         samples = np.random.default_rng(0).normal(size=(40, 2))
@@ -261,3 +275,48 @@ class TestCsvIo:
         header, parsed = read_csv(path)
         assert header == list(SHIFT_COLUMNS)
         assert parsed[0]["runs"] == 10
+
+    def test_cells_by_declared_type(self, tmp_path):
+        """Every cell is written by its field's type (an int-valued float
+        as ``1.0``, NaN as ``nan``, a uint64 seed in full, ``wall_ms``
+        empty) and read back as that type."""
+        seed = np.uint64(2**64 - 1)
+        sweep = MetricsRow(
+            method="grad", n=1, b=40, eta=1, scale=5, seed=seed,
+            expected_reward=0.25, normalized_reward=math.nan, win_rate=0.5,
+            kl_fit=1e300, kl_bound=math.nan, variance_x=np.float64(1e-300),
+            variance_y=2.5, model_evals=40, reward_queries=40, wall_ms=12.5,
+        )
+        assert SWEEP_COLUMNS == (
+            "method", "n", "b", "eta", "scale", "seed", "expected_reward",
+            "normalized_reward", "win_rate", "kl_fit", "kl_bound", "variance_x",
+            "variance_y", "model_evals", "reward_queries", "wall_ms",
+        )
+        assert sweep.csv_values() == [
+            "grad", "1", "40", "1.0", "5.0", "18446744073709551615", "0.25",
+            "nan", "0.5", "1e+300", "nan", "1e-300", "2.5", "40", "40", "",
+        ]
+        shift = ShiftRow(
+            displacement=0, method="blockwise_ref", n=np.int64(4), b=8, eta=0.6,
+            runs=10, mean_reward=math.nan, variance_x=3, variance_y=0.125,
+        )
+        assert SHIFT_COLUMNS == (
+            "displacement", "method", "n", "b", "eta", "runs", "mean_reward",
+            "variance_x", "variance_y",
+        )
+        assert shift.csv_values() == [
+            "0.0", "blockwise_ref", "4", "8", "0.6", "10", "nan", "3.0", "0.125",
+        ]
+
+        for columns, row in ((SWEEP_COLUMNS, sweep), (SHIFT_COLUMNS, shift)):
+            path = tmp_path / f"{row.method}.csv"
+            write_csv(path, columns, [row])
+            header, (parsed,) = read_csv(path)
+            assert header == list(columns)
+            for field in fields(row):
+                want, got = getattr(row, field.name), parsed[field.name]
+                assert type(got).__name__ == field.type
+                if field.name == "wall_ms" or (field.type == "float" and math.isnan(want)):
+                    assert math.isnan(got)
+                else:
+                    assert got == want

@@ -16,7 +16,7 @@ from diffguide import (
     normalized_expected_reward,
     win_rate,
 )
-from diffguide.metrics import RIDGE, selection_gap
+from diffguide.metrics import RELATIVE_RIDGE, RIDGE, selection_gap
 
 
 class TestFitGaussian:
@@ -37,6 +37,18 @@ class TestFitGaussian:
         fit = fit_gaussian(xs)
         np.testing.assert_allclose(fit.mean, [1.0, 2.0], atol=0.01)
         np.testing.assert_allclose(fit.cov, np.diag([3.0, 4.0]), rtol=0.01, atol=0.01)
+
+    @pytest.mark.parametrize("spread", [1e8, 1e50, 1e127])
+    def test_ridge_scales_with_the_trace(self, spread):
+        """A batch on a line gets a ridge of RELATIVE_RIDGE times the trace,
+        which survives the rounding of a widely spread covariance."""
+        xs = spread * np.linspace(-1.0, 1.0, 50)[:, None] * np.array([[1.0, 0.7]])
+        fit = fit_gaussian(xs)
+        np.linalg.cholesky(fit.cov)
+        raw = np.cov(xs, rowvar=False)
+        np.testing.assert_allclose(
+            np.diag(fit.cov - raw), RELATIVE_RIDGE * np.trace(raw), rtol=1e-3
+        )
 
     def test_rejects_too_few(self):
         with pytest.raises(ValueError):
