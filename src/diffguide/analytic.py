@@ -63,7 +63,11 @@ class MixtureEps:
         eps*(x, t) = sqrt(1 - ab) (x - sqrt(ab) m(x, t)) / (ab sigma^2 + 1 - ab)
 
     with ``m(x, t)`` the posterior-responsibility average of the component
-    means.  Useful as a training-free reference sampler.
+    means.  Useful as a training-free reference sampler.  Its input Jacobian
+    is symmetric, ``(c / v) (I - (ab / v) Cov_w(mu))`` with ``c = sqrt(1 -
+    ab)``, ``v = ab sigma^2 + 1 - ab`` and ``Cov_w(mu)`` the responsibility-
+    weighted covariance of the component means, so the VJP of a cotangent is
+    ``(c / v) (cot - (ab / v) Cov_w(mu) cot)``.
     """
 
     weights: np.ndarray
@@ -83,17 +87,34 @@ class MixtureEps:
         object.__setattr__(self, "_means", m)
 
 
-@predict_eps.register
-def _(model: MixtureEps, x, t, sched: NoiseSchedule):
-    x = np.asarray(x, dtype=np.float64)
+def _posterior(model: MixtureEps, x, t, sched: NoiseSchedule):
+    """``(ab, v, resp, m)``: the step's ``alpha_bar``, the component
+    variance ``v`` at that step, each point's component responsibilities
+    ``(..., k)`` and their average of the means ``(..., 2)``."""
     t = _check_t(t, sched.T)
     ab = np.asarray(_coef(sched.alpha_bar, t))
     var = ab * model.sigma**2 + 1.0 - ab
-    root_ab = np.sqrt(ab)
-    centered = x[..., None, :] - root_ab[..., None] * model._means
+    centered = x[..., None, :] - np.sqrt(ab)[..., None] * model._means
     logits = -np.sum(centered * centered, axis=-1) / (2.0 * var) + np.log(model._weights)
     logits -= logits.max(axis=-1, keepdims=True)
     resp = np.exp(logits)
     resp /= resp.sum(axis=-1, keepdims=True)
-    post_mean = resp @ model._means
-    return np.sqrt(1.0 - ab) * (x - root_ab * post_mean) / var
+    return ab, var, resp, resp @ model._means
+
+
+@predict_eps.register
+def _(model: MixtureEps, x, t, sched: NoiseSchedule):
+    x = np.asarray(x, dtype=np.float64)
+    ab, var, _, post_mean = _posterior(model, x, t, sched)
+    return np.sqrt(1.0 - ab) * (x - np.sqrt(ab) * post_mean) / var
+
+
+@input_grad.register
+def _(model: MixtureEps, x, t, sched: NoiseSchedule, cotangent):
+    x = np.asarray(x, dtype=np.float64)
+    cot = np.asarray(cotangent, dtype=np.float64)
+    ab, var, resp, post_mean = _posterior(model, x, t, sched)
+    spread = model._means - post_mean[..., None, :]  # (..., k, 2)
+    along = np.sum(spread * cot[..., None, :], axis=-1)  # (..., k)
+    cov_cot = np.sum((resp * along)[..., None] * spread, axis=-2)
+    return np.sqrt(1.0 - ab) / var * (cot - ab / var * cov_cot)

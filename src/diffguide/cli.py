@@ -122,6 +122,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     model, sched = _load_checkpoint(args.checkpoint)
     xs = base_sample(model, sched, args.n, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -205,8 +205,11 @@ def _buffer(name: str, width: int) -> np.ndarray:
     The model is evaluated chunk by chunk many times per reverse step or
     training minibatch; fresh temporaries cost a page fault per page on
     every call (training took 1.8 times as long with buffers made afresh per
-    call).  Every evaluation writes the rows it reads before reading them,
-    and returns freshly allocated arrays.
+    call).  A chunk with ``m`` real rows does its elementwise work on those
+    rows only.  Every buffer a matrix product reads is written before it is
+    read, with zeros below the real rows (``_padded``, ``_real``), so what an
+    earlier evaluation left in the buffers never reaches a result.  Every
+    evaluation returns freshly allocated arrays.
     """
     buffers = getattr(_scratch, "buffers", None)
     if buffers is None:
@@ -217,11 +220,16 @@ def _buffer(name: str, width: int) -> np.ndarray:
     return buf
 
 
+def _real(buf, m: int) -> np.ndarray:
+    """The first ``m`` rows of ``buf``; the rows below them are set to zero."""
+    buf[m:] = 0.0
+    return buf[:m]
+
+
 def _padded(name: str, rows) -> np.ndarray:
     """``rows`` copied into the scratch buffer ``name``, zeros below them."""
     buf = _buffer(name, rows.shape[1])
-    buf[: len(rows)] = rows
-    buf[len(rows) :] = 0.0
+    _real(buf, len(rows))[...] = rows
     return buf
 
 
@@ -259,45 +267,49 @@ def _hidden_chunks(model: EpsModel, rows, t, sched: NoiseSchedule):
     rows ``lo:lo + m``: the whitened input, the step embedding (``None`` for
     a scalar step), and each hidden layer's pre-activation, sigmoid and
     activation.  The buffers have ``CHUNK_ROWS`` rows, of which the first
-    ``m`` are real; ``emb`` is zero below them.
+    ``m`` are real; ``xw``, ``emb``, ``a1`` and ``a2`` are zero below them,
+    and the other buffers hold nothing meaningful there.
     """
     width = model.hidden_width
     table = _embedding_table(sched.T, model.embed_width, model.freq_base)
     emb = None
     if t.ndim == 0:
         # one embedding row serves every row of the batch
-        bias1 = table[t] @ model.w1[2:] + model.b1
+        bias = table[t] @ model.w1[2:] + model.b1
     else:
         bias1 = _buffer("bias1", width)
+    xw = _buffer("xw", 2)
     z1, s1, a1, z2, s2, a2 = (_buffer(k, width) for k in ("z1", "s1", "a1", "z2", "s2", "a2"))
     for lo in range(0, rows.shape[0], CHUNK_ROWS):
         chunk = rows[lo : lo + CHUNK_ROWS]
-        xw = _padded("xw", chunk)
-        xw -= model.in_shift
-        xw /= model.in_scale
+        m = len(chunk)
+        whitened = _real(xw, m)
+        np.subtract(chunk, model.in_shift, out=whitened)
+        whitened /= model.in_scale
         if t.ndim > 0:
             emb = _padded("emb", table[t[lo : lo + CHUNK_ROWS]])
             np.matmul(emb, model.w1[2:], out=bias1)
-            bias1 += model.b1
+            bias = bias1[:m]
+            bias += model.b1
         np.matmul(xw, model.w1[:2], out=z1)
-        z1 += bias1
-        _activate(model.activation, z1, s1, a1)
+        z1[:m] += bias
+        _activate(model.activation, z1[:m], s1[:m], _real(a1, m))
         np.matmul(a1, model.w2, out=z2)
-        z2 += model.b2
-        _activate(model.activation, z2, s2, a2)
-        yield lo, len(chunk), xw, emb, z1, s1, a1, z2, s2, a2
+        z2[:m] += model.b2
+        _activate(model.activation, z2[:m], s2[:m], _real(a2, m))
+        yield lo, m, xw, emb, z1, s1, a1, z2, s2, a2
 
 
-def _backward(model: EpsModel, dout, z1, s1, z2, s2):
-    """Gradients ``(dz2, dz1)`` at both hidden pre-activations of one chunk,
-    given ``dout``, the gradient at the output; a zero row of ``dout``
-    gives zero rows."""
+def _backward(model: EpsModel, dout, m: int, z1, s1, z2, s2):
+    """Gradients ``(dz2, dz1)`` at both hidden pre-activations of a chunk
+    with ``m`` real rows, given ``dout``, the gradient at the output, zero
+    below them; ``dz2`` and ``dz1`` are zero below them too."""
     width = model.hidden_width
     upstream, dz2, dz1 = (_buffer(k, width) for k in ("upstream", "dz2", "dz1"))
     np.matmul(dout, model.w3.T, out=upstream)
-    _act_grad(model.activation, z2, s2, upstream, dz2)
+    _act_grad(model.activation, z2[:m], s2[:m], upstream[:m], _real(dz2, m))
     np.matmul(dz2, model.w2.T, out=upstream)
-    _act_grad(model.activation, z1, s1, upstream, dz1)
+    _act_grad(model.activation, z1[:m], s1[:m], upstream[:m], _real(dz1, m))
     return dz2, dz1
 
 
@@ -307,8 +319,7 @@ def _predict(model: EpsModel, x, t, sched: NoiseSchedule):
     y = _buffer("y", 2)
     for lo, m, *_, a2 in _hidden_chunks(model, rows, t, sched):
         np.matmul(a2, model.w3, out=y)
-        y += model.b3
-        out[lo : lo + m] = y[:m]
+        np.add(y[:m], model.b3, out=out[lo : lo + m])
     return out[0] if single else out
 
 
@@ -326,13 +337,11 @@ def _eps_and_vjp(model: EpsModel, rows, t, sched: NoiseSchedule, cotangent):
     for lo, m, _, _, z1, s1, _, z2, s2, a2 in _hidden_chunks(model, rows, t, sched):
         chunk = slice(lo, lo + m)
         np.matmul(a2, model.w3, out=y)
-        y += model.b3
-        eps[chunk] = y[:m]
+        np.add(y[:m], model.b3, out=eps[chunk])
         cots[chunk] = cotangent(chunk, eps[chunk])
-        _, dz1 = _backward(model, _padded("cot", cots[chunk]), z1, s1, z2, s2)
+        _, dz1 = _backward(model, _padded("cot", cots[chunk]), m, z1, s1, z2, s2)
         np.matmul(dz1, model.w1[:2].T, out=g)
-        g /= model.in_scale
-        vjp[chunk] = g[:m]
+        np.divide(g[:m], model.in_scale, out=vjp[chunk])
     return eps, cots, vjp
 
 
@@ -377,12 +386,12 @@ def loss_and_param_grads(model: EpsModel, x0_batch, eps_batch, t_batch, sched: N
     dout = _buffer("dout", 2)
     for lo, m, xw, emb, z1, s1, a1, z2, s2, a2 in _hidden_chunks(model, x_t, t, sched):
         np.matmul(a2, model.w3, out=dout)
-        dout += model.b3
-        dout[:m] -= eps[lo : lo + m]
-        dout[m:] = 0.0
+        residual = _real(dout, m)
+        residual += model.b3
+        residual -= eps[lo : lo + m]
         squares += np.sum(dout * dout)
-        dout *= 2.0 / n
-        dz2, dz1 = _backward(model, dout, z1, s1, z2, s2)
+        residual *= 2.0 / n
+        dz2, dz1 = _backward(model, dout, m, z1, s1, z2, s2)
         dw3 += a2.T @ dout
         db3 += dout.sum(axis=0)
         dw2 += a1.T @ dz2

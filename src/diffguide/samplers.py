@@ -19,7 +19,9 @@ Its batch stops at the first step that leaves a state outside
 Every random draw is keyed by ``(seed, role, step, stream)`` (see
 ``streams``), which makes runs reproducible, order-independent and exactly
 reducible: a single-stream guided run is bit-identical to a plain rollout,
-regardless of block size.
+regardless of block size.  A sampler takes a batch's transition noise from
+``streams.step_noise``, which draws many steps' keys per call; each draw is
+still a function of its key alone.
 
 Counters: ``model_evals`` counts denoising forward passes per run (streams x
 steps); the model call inside an endpoint value estimate is part of that
@@ -101,11 +103,11 @@ def base_sample(model, sched: NoiseSchedule, n: int, seed: int, counters: RunCou
         raise ValueError(f"n must be >= 1, got {n}")
     ids = np.arange(n)
     x = streams.normal_pair(seed, streams.ROLE_INIT, ids, 0)
-    for t in range(sched.T, 0, -1):
-        noise = streams.normal_pair(seed, streams.ROLE_STEP, t, ids) if t > 1 else None
+    for t, noise in streams.step_noise(seed, ids, sched.T):
         x = ddpm_step(model, sched, x, t, noise)
-        if counters is not None:
-            counters.model_evals += 1
+    x = ddpm_step(model, sched, x, 1, None)
+    if counters is not None:
+        counters.model_evals += sched.T
     return x
 
 
@@ -142,6 +144,7 @@ def _selection_rollout(
     stream_ids = np.arange(N)
     runs = np.arange(R)
     x = x_start
+    noise = streams.step_noise(seeds[:, None], stream_ids[None, :], top)
     eps_x = predict_eps(model, x, top, sched)
     for t_hi, t_lo in _block_bounds(top, block_size):
         # the streams of a run all start the block from its state
@@ -151,9 +154,7 @@ def _selection_rollout(
             counters.model_evals += N
             mu = posterior_mean(flat, eps_hat, t, sched)
             if t > 1:
-                z = streams.normal_pair(
-                    seeds[:, None], streams.ROLE_STEP, t, stream_ids[None, :]
-                )
+                _, z = next(noise)
                 flat = mu + np.sqrt(sched.beta[t]) * z.reshape(R * N, 2)
                 eps_hat = predict_eps(model, flat, t - 1, sched)
             else:
@@ -310,6 +311,7 @@ def grad_guided_batch(
     seeds = _as_seed_array(seeds)
     counters = RunCounters()
     x = streams.normal_pair(seeds, streams.ROLE_INIT, 0, 0)
+    noise = streams.step_noise(seeds, 0, sched.T)
     for t in range(sched.T, 0, -1):
         counters.model_evals += 1
         if scale > 0:
@@ -327,9 +329,8 @@ def grad_guided_batch(
             eps_hat = predict_eps(model, x, t, sched)
         mu = posterior_mean(x, eps_hat, t, sched)
         if t > 1:
-            x = mu + np.sqrt(sched.beta[t]) * streams.normal_pair(
-                seeds, streams.ROLE_STEP, t, 0
-            )
+            _, z = next(noise)
+            x = mu + np.sqrt(sched.beta[t]) * z
         else:
             x = mu
         # NaN fails the comparison too

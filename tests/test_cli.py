@@ -100,6 +100,15 @@ class TestSampleAndGuide:
         for line in lines[1:]:
             assert all(np.isfinite(float(v)) for v in line.split(","))
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_sample_refuses_a_count_below_one(self, trained, tmp_path, capsys, n):
+        _, _, ckpt = trained
+        out = tmp_path / "samples.csv"
+        code = main(["sample", "--checkpoint", str(ckpt), "--n", n, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --n must be >= 1, got {n}\n"
+        assert not out.exists()
+
     def test_guide_reports_counters(self, trained, capsys):
         path, _, ckpt = trained
         code = main(

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -389,6 +390,51 @@ class TestChunking:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert mismatches == []
+
+    @pytest.mark.parametrize("n", [5, 2 * model_module.CHUNK_ROWS + 5])
+    def test_stale_scratch_rows_do_not_leak(self, n):
+        """With every scratch buffer of this thread filled with NaN and
+        +-inf before each call, a batch whose last chunk has 5 rows gives
+        the bits it gives with zeroed buffers and raises no RuntimeWarning.
+        With 5 rows the padded rows hold the NaN and inf; with
+        ``2 * CHUNK_ROWS + 5`` they hold what the full chunks left."""
+        sched = build_linear_schedule(1000)
+        model = init_model(128, 32, seed=2, in_shift=[5.0, 5.7], in_scale=3.0)
+        rng = np.random.default_rng(8)
+        x = rng.normal(5.0, 4.0, size=(n, 2))
+        cot = rng.normal(size=(n, 2))
+        steps = rng.integers(1, 1001, size=n)
+
+        def cotangent_of(x, eps):
+            return x - 2.0 * eps
+
+        calls = [
+            lambda: predict_eps(model, x, 400, sched),
+            lambda: predict_eps(model, x, steps, sched),
+            lambda: input_grad(model, x, 400, sched, cot),
+            lambda: input_grad(model, x, steps, sched, cot),
+            lambda: eps_and_input_grad(model, x, 400, sched, cotangent_of),
+            lambda: eps_and_input_grad(model, x, steps, sched, cotangent_of),
+            lambda: loss_and_param_grads(model, x, cot, steps, sched),
+        ]
+
+        def flat(result):
+            if hasattr(result, "params"):
+                return [result.loss, *(arr for _, arr in result.params())]
+            return list(result) if isinstance(result, tuple) else [result]
+
+        def run(call, fill):
+            call()  # makes every buffer the call uses
+            for buf in model_module._scratch.buffers.values():
+                buf.flat = fill
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                return flat(call())
+
+        for call in calls:
+            want = run(call, [0.0])
+            for got, ref in zip(run(call, [np.nan, np.inf, -np.inf]), want):
+                np.testing.assert_array_equal(got, ref)
 
     def test_results_are_fresh_arrays(self):
         """Scratch buffers are reused between calls; what a call returns is not."""

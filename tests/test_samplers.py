@@ -22,11 +22,13 @@ from diffguide import (
     grad_guided_batch,
     grad_guided_sample,
     init_model,
+    paper_prior,
     posterior_mean,
     predict_eps,
     stepwise_sample,
 )
 from diffguide import input_grad, reward_grad, streams, tweedie_x0
+from diffguide.analytic import MixtureEps
 from diffguide.model import CHUNK_ROWS
 from diffguide.samplers import STATE_BOUND, _block_bounds
 
@@ -365,6 +367,19 @@ class TestGradGuidance:
         eps_guided = eps_hat - np.sqrt(1.0 - ab) * lam * glog
         mu_guided = posterior_mean(x, eps_guided, t, sched)
         np.testing.assert_allclose(mu_guided - mu_plain, shift_oracle, rtol=1e-10)
+
+    @pytest.mark.parametrize("scale", [1.0, 5.0, 50.0])
+    def test_exact_predictor_stays_bounded_on_the_study_prior(self, scale):
+        """With the exact mixture predictor of the study prior (T=1000),
+        the exact-chain guided batch runs to the end at scales where the
+        trained model's chains can blow up, and lands near the reward."""
+        prior = paper_prior()
+        model = MixtureEps(weights=prior._weights, means=prior._means, sigma=prior.sigma)
+        seeds = [streams.derive_seed(41, i) for i in range(20)]
+        out, counters = grad_guided_batch(model, build_linear_schedule(1000), REWARD, scale, seeds)
+        assert counters.stopped_at is None
+        assert np.all(np.abs(out) <= STATE_BOUND)
+        assert np.linalg.norm(out.mean(axis=0) - REWARD._mu) < 3.0
 
     def test_frozen_chain_mode(self):
         got = grad_guided_sample(MODEL, SCHED, REWARD, 1.0, seed=3, exact_chain=False)
