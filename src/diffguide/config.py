@@ -38,6 +38,19 @@ class ConfigError(ValueError):
     """Invalid or unreadable experiment configuration."""
 
 
+# (field, the methods that use it, the value every other method needs): a
+# point that sets a field its method ignores is refused, so that every column
+# of its row describes the run that made it
+_METHOD_FIELDS = (
+    ("eta", ("blockwise_ref",), 1),
+    ("n_streams", ("best_of_n", "blockwise", "stepwise", "blockwise_ref"), 1),
+    ("block_size", ("blockwise", "blockwise_ref"), None),
+    ("scale", ("grad",), 0),
+    ("exact_chain", ("grad",), True),
+    ("x_ref", ("blockwise_ref",), None),
+)
+
+
 @dataclass(frozen=True)
 class GuidancePoint:
     """One guided-sampling setting; fully determines a run given a seed."""
@@ -58,10 +71,14 @@ class GuidancePoint:
             raise ConfigError("n_streams must be >= 1")
         if not (0.0 < self.eta <= 1.0):
             raise ConfigError("eta must be in (0, 1]")
-        if self.eta != 1.0 and self.method != "blockwise_ref":
-            raise ConfigError(f"eta applies to blockwise_ref only; {self.method} needs eta = 1")
         if self.scale < 0:
             raise ConfigError("scale must be >= 0")
+        for name, methods, value in _METHOD_FIELDS:
+            if self.method not in methods and getattr(self, name) != value:
+                # "grad", "blockwise and blockwise_ref", "a, b, c and d"
+                uses = " and ".join(filter(None, (", ".join(methods[:-1]), methods[-1])))
+                needs = f"takes no {name}" if value is None else f"needs {name} = {value}"
+                raise ConfigError(f"{name} applies to {uses} only; {self.method} {needs}")
 
     def resolved_block(self, T: int) -> int:
         """Concrete block size: stepwise pins 1, best-of-n pins T."""

@@ -75,10 +75,12 @@ def selection_gap(n: int) -> float:
 def kl_upper_bound(method: str, n: int, block_size: int, T: int, eta: float = 1.0) -> float:
     """Analytic upper bound on the divergence of a guided sampler from base.
 
-    One best-of-n selection costs at most ``log n - (n-1)/n``; blockwise
-    selection pays that once per block (``eta T / block``), stepwise once per
-    step (``eta T``), a single full-rollout selection once.  The base chain
-    costs nothing and gradient guidance has no such bound (returns nan).
+    One best-of-n selection costs at most ``log n - (n-1)/n``; a run pays
+    that once per selection it makes.  Over the ``round(eta T)`` denoised
+    steps, blockwise selection makes ``ceil(steps / block)`` selections (a
+    short last block still selects), stepwise one per step, and a single
+    full-rollout selection one.  The base chain costs nothing and gradient
+    guidance has no such bound (returns nan).
     """
     if method == "base":
         return 0.0
@@ -86,13 +88,12 @@ def kl_upper_bound(method: str, n: int, block_size: int, T: int, eta: float = 1.
         return float("nan")
     if method not in BOUNDED_METHODS:
         raise ValueError(f"unknown method tag {method!r}")
-    # count the selections first so the product with the gap rounds once
+    # an integer count of selections, so the product with the gap rounds once
     if method == "best_of_n":
-        selections = 1.0
-    elif method == "stepwise":
-        selections = eta * T
+        selections = 1
     else:
-        selections = eta * T / block_size
+        steps = round(eta * T)
+        selections = steps if method == "stepwise" else math.ceil(steps / block_size)
     return selection_gap(n) * selections
 
 

@@ -1,11 +1,16 @@
 """Noise-prediction MLP: forward pass, exact gradients, checkpoints.
 
 The predictor is three affine layers, ``(2 + E) -> H -> H -> 2``, with a
-smooth activation after the first two.  The step index enters through a
-sinusoidal embedding of ``t / T`` (E even, frequencies geometric from 1 up to
-``freq_base``).  Gradients are hand-derived reverse mode for this fixed
-architecture; they are checked against central finite differences in the
-test suite.
+smooth activation after the first two: SiLU, ``z / (1 + exp(-z))``, or the
+identity.  The step index enters through a sinusoidal embedding of ``t / T``
+(E even, frequencies geometric from 1 up to ``freq_base``).  Gradients are
+hand-derived reverse mode for this fixed architecture; they are checked
+against central finite differences in the test suite.
+
+``exp(-z)`` overflows to inf for ``z < -709.78``, which a state near
+``samplers.STATE_BOUND`` reaches.  The forward pass runs under
+``np.errstate(over="ignore")``: the overflow gives the exact limits of the
+activation (``-0``) and of its sigmoid (0), and every result stays finite.
 """
 
 from __future__ import annotations
@@ -42,28 +47,34 @@ class CheckpointShapeError(CheckpointError):
 ACTIVATIONS = ("silu", "identity")
 
 
-def _activate(activation: str, z, s, a):
-    """``a = act(z)`` in place; for silu also leaves ``sigmoid(z)`` in ``s``.
+def _activate(activation: str, nz, d, na):
+    """``na = -act(z)`` in place from ``nz = -z``; for silu also leaves
+    ``d = 1 + exp(-z)`` in ``d``.
 
-    The sigmoid is ``0.5 (1 + tanh(z / 2))``, which cannot overflow.
+    silu is ``z / (1 + exp(-z))``, so ``-a = (-z) / d``: three passes, and
+    the division gives every evaluation path the same bits.  ``exp``
+    overflows to inf for ``z < -709.78``; callers run this under
+    ``np.errstate(over="ignore")``, and ``d = inf`` then gives the exact
+    limits ``a = -0`` and ``sigmoid(z) = 1 / d = 0``.
     """
     if activation == "identity":
-        np.copyto(a, z)
+        np.copyto(na, nz)
         return
-    np.multiply(z, 0.5, out=s)
-    np.tanh(s, out=s)
-    s += 1.0
-    s *= 0.5
-    np.multiply(z, s, out=a)
+    np.exp(nz, out=d)
+    d += 1.0
+    np.divide(nz, d, out=na)
 
 
-def _act_grad(activation: str, z, s, upstream, out):
-    """``out = act'(z) * upstream``; silu' is ``s (1 + z (1 - s))``."""
+def _act_grad(activation: str, nz, d, upstream, out):
+    """``out = act'(z) * upstream`` from the forward pass's ``nz = -z`` and
+    ``d``.  silu' is ``s (1 + z (1 - s))`` with ``s = 1 / d``, which
+    overwrites ``d``; ``d = inf`` gives ``s = 0`` and a zero gradient."""
     if activation == "identity":
         np.copyto(out, upstream)
         return
-    np.subtract(1.0, s, out=out)
-    out *= z
+    s = np.reciprocal(d, out=d)
+    np.subtract(s, 1.0, out=out)
+    out *= nz
     out += 1.0
     out *= s
     out *= upstream
@@ -179,10 +190,15 @@ def time_embedding(t, T: int, width: int, freq_base: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _embedding_table(T: int, width: int, freq_base: float) -> np.ndarray:
-    """``time_embedding`` of every step ``0..T``, built once (a training
-    batch otherwise spends much of its time in ``sin`` and ``cos``)."""
-    table = time_embedding(np.arange(T + 1), T, width, freq_base)
+def _step_inputs(T: int, width: int, freq_base: float) -> np.ndarray:
+    """Layer-1 input rows ``[0, 0, time_embedding(t), 1]`` of every step
+    ``0..T``, built once (a training batch otherwise spends much of its time
+    in ``sin`` and ``cos``).  A chunk takes its rows whole and writes the
+    whitened point over the two zeros; the 1 meets ``b1``."""
+    emb = time_embedding(np.arange(T + 1), T, width, freq_base)
+    table = np.zeros((T + 1, width + 3))
+    table[:, 2:-1] = emb
+    table[:, -1] = 1.0
     table.flags.writeable = False
     return table
 
@@ -263,53 +279,66 @@ def _batch(x, t, sched: NoiseSchedule, cotangent=None):
 def _hidden_chunks(model: EpsModel, rows, t, sched: NoiseSchedule):
     """Both hidden layers over ``rows`` in padded chunks of ``CHUNK_ROWS`` rows.
 
-    Yields ``(lo, m, xw, emb, z1, s1, a1, z2, s2, a2)`` per chunk holding
-    rows ``lo:lo + m``: the whitened input, the step embedding (``None`` for
-    a scalar step), and each hidden layer's pre-activation, sigmoid and
-    activation.  The buffers have ``CHUNK_ROWS`` rows, of which the first
-    ``m`` are real; ``xw``, ``emb``, ``a1`` and ``a2`` are zero below them,
-    and the other buffers hold nothing meaningful there.
+    Yields ``(lo, m, inp, nz1, d1, na1, nz2, d2, na2)`` per chunk holding
+    rows ``lo:lo + m``.  ``inp`` is the layer-1 input: the whitened point
+    and a 1, with the step embedding between them for a step per row.
+    ``nz``, ``d`` and ``na`` hold each hidden layer's negated
+    pre-activation ``-z``, ``1 + exp(-z)`` and negated activation ``-a``
+    (``_activate``).  The products give ``-z`` directly: the layer-1 matrix
+    is ``-[w1; b1]`` with the bias as its last row, or for a scalar step
+    ``-[w1[:2]; emb w1[2:] + b1]``, and ``-b2`` is added from a tile.  The
+    sign cancels in the layer-2 product and in the output layer, which
+    computes ``b3 - (-a2) w3``.  Negation is exact, so the signs cost no
+    bits.  The buffers have ``CHUNK_ROWS`` rows, of which the first ``m``
+    are real; ``inp``, ``nz1``, ``na1``, ``nz2`` and ``na2`` are zero below
+    them, ``d1`` and ``d2`` hold nothing meaningful there.
     """
+    n = rows.shape[0]
     width = model.hidden_width
-    table = _embedding_table(sched.T, model.embed_width, model.freq_base)
-    emb = None
+    inputs = _step_inputs(sched.T, model.embed_width, model.freq_base)
+    w1 = np.empty((model.embed_width + 3, width))
+    np.negative(model.w1, out=w1[:-1])
+    np.negative(model.b1, out=w1[-1])
     if t.ndim == 0:
-        # one embedding row serves every row of the batch
-        bias = table[t] @ model.w1[2:] + model.b1
+        # one step: its embedding and b1 make one bias row
+        w1[2] = inputs[t] @ w1
+        w1 = w1[:3]
+        inp = _buffer("x1", 3)
     else:
-        bias1 = _buffer("bias1", width)
-    xw = _buffer("xw", 2)
-    z1, s1, a1, z2, s2, a2 = (_buffer(k, width) for k in ("z1", "s1", "a1", "z2", "s2", "a2"))
-    for lo in range(0, rows.shape[0], CHUNK_ROWS):
-        chunk = rows[lo : lo + CHUNK_ROWS]
-        m = len(chunk)
-        whitened = _real(xw, m)
-        np.subtract(chunk, model.in_shift, out=whitened)
-        whitened /= model.in_scale
-        if t.ndim > 0:
-            emb = _padded("emb", table[t[lo : lo + CHUNK_ROWS]])
-            np.matmul(emb, model.w1[2:], out=bias1)
-            bias = bias1[:m]
-            bias += model.b1
-        np.matmul(xw, model.w1[:2], out=z1)
-        z1[:m] += bias
-        _activate(model.activation, z1[:m], s1[:m], _real(a1, m))
-        np.matmul(a1, model.w2, out=z2)
-        z2[:m] += model.b2
-        _activate(model.activation, z2[:m], s2[:m], _real(a2, m))
-        yield lo, m, xw, emb, z1, s1, a1, z2, s2, a2
+        inp = _buffer("xe", model.embed_width + 3)
+    b2 = _buffer("b2", width)
+    np.negative(model.b2, out=b2[: min(n, CHUNK_ROWS)])
+    whitened = (rows - model.in_shift) / model.in_scale
+    nz1, d1, na1, nz2, d2, na2 = (_buffer(k, width) for k in ("nz1", "d1", "na1", "nz2", "d2", "na2"))
+    for lo in range(0, n, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, n)
+        m = hi - lo
+        real = _real(inp, m)
+        if t.ndim == 0:
+            real[:, 2] = 1.0
+        else:
+            np.take(inputs, t[lo:hi], axis=0, out=real, mode="clip")
+        real[:, :2] = whitened[lo:hi]
+        with np.errstate(over="ignore"):
+            np.matmul(inp, w1, out=nz1)
+            _activate(model.activation, nz1[:m], d1[:m], _real(na1, m))
+            np.matmul(na1, model.w2, out=nz2)
+            nz2[:m] += b2[:m]
+            _activate(model.activation, nz2[:m], d2[:m], _real(na2, m))
+        yield lo, m, inp, nz1, d1, na1, nz2, d2, na2
 
 
-def _backward(model: EpsModel, dout, m: int, z1, s1, z2, s2):
+def _backward(model: EpsModel, dout, m: int, nz1, d1, nz2, d2):
     """Gradients ``(dz2, dz1)`` at both hidden pre-activations of a chunk
     with ``m`` real rows, given ``dout``, the gradient at the output, zero
-    below them; ``dz2`` and ``dz1`` are zero below them too."""
+    below them; ``dz2`` and ``dz1`` are zero below them too.  Consumes
+    ``d1`` and ``d2`` (``_act_grad``)."""
     width = model.hidden_width
     upstream, dz2, dz1 = (_buffer(k, width) for k in ("upstream", "dz2", "dz1"))
     np.matmul(dout, model.w3.T, out=upstream)
-    _act_grad(model.activation, z2[:m], s2[:m], upstream[:m], _real(dz2, m))
+    _act_grad(model.activation, nz2[:m], d2[:m], upstream[:m], _real(dz2, m))
     np.matmul(dz2, model.w2.T, out=upstream)
-    _act_grad(model.activation, z1[:m], s1[:m], upstream[:m], _real(dz1, m))
+    _act_grad(model.activation, nz1[:m], d1[:m], upstream[:m], _real(dz1, m))
     return dz2, dz1
 
 
@@ -317,9 +346,9 @@ def _predict(model: EpsModel, x, t, sched: NoiseSchedule):
     rows, t, _, single = _batch(x, t, sched)
     out = np.empty(rows.shape)
     y = _buffer("y", 2)
-    for lo, m, *_, a2 in _hidden_chunks(model, rows, t, sched):
-        np.matmul(a2, model.w3, out=y)
-        np.add(y[:m], model.b3, out=out[lo : lo + m])
+    for lo, m, *_, na2 in _hidden_chunks(model, rows, t, sched):
+        np.matmul(na2, model.w3, out=y)
+        np.subtract(model.b3, y[:m], out=out[lo : lo + m])
     return out[0] if single else out
 
 
@@ -330,16 +359,16 @@ def _eps_and_vjp(model: EpsModel, rows, t, sched: NoiseSchedule, cotangent):
     Per padded chunk the hidden layers run once: the output layer gives the
     chunk's noise, ``cotangent(chunk, eps_rows)`` its cotangent rows (``chunk``
     is the slice of the rows it holds), and the backward pass reuses the
-    chunk's pre-activations and sigmoids.
+    chunk's pre-activations and exponentials.
     """
     eps, cots, vjp = (np.empty(rows.shape) for _ in range(3))
     y, g = _buffer("y", 2), _buffer("g", 2)
-    for lo, m, _, _, z1, s1, _, z2, s2, a2 in _hidden_chunks(model, rows, t, sched):
+    for lo, m, _, nz1, d1, _, nz2, d2, na2 in _hidden_chunks(model, rows, t, sched):
         chunk = slice(lo, lo + m)
-        np.matmul(a2, model.w3, out=y)
-        np.add(y[:m], model.b3, out=eps[chunk])
+        np.matmul(na2, model.w3, out=y)
+        np.subtract(model.b3, y[:m], out=eps[chunk])
         cots[chunk] = cotangent(chunk, eps[chunk])
-        _, dz1 = _backward(model, _padded("cot", cots[chunk]), m, z1, s1, z2, s2)
+        _, dz1 = _backward(model, _padded("cot", cots[chunk]), m, nz1, d1, nz2, d2)
         np.matmul(dz1, model.w1[:2].T, out=g)
         np.divide(g[:m], model.in_scale, out=vjp[chunk])
     return eps, cots, vjp
@@ -381,24 +410,26 @@ def loss_and_param_grads(model: EpsModel, x0_batch, eps_batch, t_batch, sched: N
         )
     n = x0.shape[0]
     x_t = forward_noising(x0, t, eps, sched)
-    dw1, db1, dw2, db2, dw3, db3 = (np.zeros_like(arr) for _, arr in model.params())
+    # the layer-1 input ends in a 1, so one product gives [dw1; db1]
+    dw1b1 = np.zeros((model.embed_width + 3, model.hidden_width))
+    dw2, db2, dw3, db3 = (np.zeros_like(arr) for arr in (model.w2, model.b2, model.w3, model.b3))
     squares = 0.0
     dout = _buffer("dout", 2)
-    for lo, m, xw, emb, z1, s1, a1, z2, s2, a2 in _hidden_chunks(model, x_t, t, sched):
-        np.matmul(a2, model.w3, out=dout)
+    for lo, m, inp, nz1, d1, na1, nz2, d2, na2 in _hidden_chunks(model, x_t, t, sched):
+        np.matmul(na2, model.w3, out=dout)
         residual = _real(dout, m)
-        residual += model.b3
+        np.subtract(model.b3, residual, out=residual)
         residual -= eps[lo : lo + m]
         squares += np.sum(dout * dout)
         residual *= 2.0 / n
-        dz2, dz1 = _backward(model, dout, m, z1, s1, z2, s2)
-        dw3 += a2.T @ dout
+        dz2, dz1 = _backward(model, dout, m, nz1, d1, nz2, d2)
+        # the buffers hold -a1 and -a2
+        dw3 -= na2.T @ dout
         db3 += dout.sum(axis=0)
-        dw2 += a1.T @ dz2
+        dw2 -= na1.T @ dz2
         db2 += dz2.sum(axis=0)
-        dw1[:2] += xw.T @ dz1
-        dw1[2:] += emb.T @ dz1
-        db1 += dz1.sum(axis=0)
+        dw1b1 += inp.T @ dz1
+    dw1, db1 = dw1b1[:-1].copy(), dw1b1[-1].copy()
     for g in (dw1, db1, dw2, db2, dw3, db3):
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient")

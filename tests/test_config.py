@@ -91,3 +91,75 @@ class TestUnknownKeys:
     def test_example_config_is_accepted(self):
         cfg = config_from_dict(example_config())
         assert len(cfg.sweep) == 5 and cfg.shift is not None
+
+
+class TestFieldsTheMethodIgnores:
+    """A point that sets a field its method does not use would write a row
+    whose columns describe another run (a grad point with ``n_streams: 4``
+    wrote ``n=4`` and ran one stream); such a point is refused."""
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            (
+                {"method": "base", "n_streams": 4},
+                "n_streams applies to best_of_n, blockwise, stepwise and blockwise_ref only;"
+                " base needs n_streams = 1",
+            ),
+            ({"method": "grad", "n_streams": 4}, "grad needs n_streams = 1"),
+            (
+                {"method": "base", "block_size": 5},
+                "block_size applies to blockwise and blockwise_ref only; base takes no block_size",
+            ),
+            ({"method": "grad", "block_size": 5}, "grad takes no block_size"),
+            ({"method": "stepwise", "n_streams": 2, "block_size": 5}, "stepwise takes no block_size"),
+            ({"method": "best_of_n", "n_streams": 2, "block_size": 5}, "best_of_n takes no block_size"),
+            ({"method": "base", "scale": 1.0}, "scale applies to grad only; base needs scale = 0"),
+            (
+                {"method": "blockwise", "n_streams": 2, "block_size": 5, "scale": 1.0},
+                "blockwise needs scale = 0",
+            ),
+            (
+                {"method": "stepwise", "n_streams": 2, "exact_chain": False},
+                "exact_chain applies to grad only; stepwise needs exact_chain = True",
+            ),
+            (
+                {"method": "best_of_n", "n_streams": 2, "x_ref": [1.0, 2.0]},
+                "x_ref applies to blockwise_ref only; best_of_n takes no x_ref",
+            ),
+            (
+                {"method": "blockwise", "n_streams": 2, "block_size": 5, "x_ref": [1.0, 2.0]},
+                "blockwise takes no x_ref",
+            ),
+        ],
+    )
+    def test_sweep_point_is_refused(self, tmp_path, checkpoint, capsys, point, message):
+        cfg = base_config(tmp_path)
+        cfg["sweep"] = [point]
+        assert run(tmp_path, cfg, "sweep", "--checkpoint", checkpoint) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--method", "grad", "--n-streams", "4"], "grad needs n_streams = 1"),
+            (
+                ["--method", "stepwise", "--n-streams", "2", "--block-size", "5"],
+                "stepwise takes no block_size",
+            ),
+            (["--method", "best_of_n", "--n-streams", "2", "--scale", "1"], "best_of_n needs scale = 0"),
+        ],
+    )
+    def test_guide_is_refused(self, tmp_path, checkpoint, capsys, args, message):
+        assert run(tmp_path, base_config(tmp_path), "guide", "--checkpoint", checkpoint, *args) == 2
+        assert message in capsys.readouterr().err
+
+    def test_reference_with_eta_one_is_accepted(self, tmp_path, checkpoint):
+        """blockwise_ref with eta = 1 ignores its reference: the documented
+        reduction to blockwise, so its x_ref stays allowed."""
+        cfg = base_config(tmp_path)
+        cfg["sweep"] = [
+            {"method": "blockwise_ref", "n_streams": 2, "block_size": 5, "x_ref": [1.0, 2.0]}
+        ]
+        assert run(tmp_path, cfg, "sweep", "--checkpoint", checkpoint) == 0

@@ -22,6 +22,7 @@ from diffguide.experiments import (
     write_csv,
     read_csv,
 )
+from diffguide.metrics import selection_gap
 from diffguide.rewards import GaussianReward, QuantizedReward
 from diffguide.training import paper_prior
 
@@ -41,6 +42,19 @@ def small_sweep():
 
 
 class TestRunSweep:
+    def test_kl_bound_counts_the_selections_made(self):
+        """With blocks that do not divide the denoised steps (40 and 20),
+        each selection the sampler makes costs one gap: a row's bound is
+        ``selection_gap(n)`` times its reward queries per stream."""
+        points = [
+            GuidancePoint(method="blockwise", n_streams=3, block_size=15),
+            GuidancePoint(method="blockwise_ref", n_streams=2, block_size=15, eta=0.5),
+        ]
+        rows = run_sweep(MODEL, SCHED, REWARD, points, 20, 20, seed=2)
+        assert [r.reward_queries // r.n for r in rows] == [3, 2]
+        for r in rows:
+            assert r.kl_bound == selection_gap(r.n) * (r.reward_queries / r.n)
+
     def test_row_schema_and_accounting(self):
         rows = run_sweep(MODEL, SCHED, REWARD, small_sweep(), 50, 50, seed=5)
         assert [r.method for r in rows] == ["base", "best_of_n", "blockwise", "stepwise", "grad"]

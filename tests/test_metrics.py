@@ -110,6 +110,16 @@ class TestKlUpperBound:
         want = (math.log(3.0) - 2.0 / 3.0) * 1000
         assert kl_upper_bound("stepwise", 3, 1, 1000) == pytest.approx(want, rel=1e-14)
 
+    def test_short_last_block_counts_as_a_selection(self):
+        """A block size that does not divide the denoised steps leaves a
+        short last block, which still selects: blockwise b=300 at T=1000
+        makes 4 selections, and blockwise_ref b=10 with eta=0.5 at T=30
+        (15 steps) makes 2."""
+        assert kl_upper_bound("blockwise", 4, 300, 1000) == selection_gap(4) * 4
+        assert kl_upper_bound("blockwise_ref", 2, 10, 30, eta=0.5) == selection_gap(2) * 2
+        # the denoised steps are round(eta T), as blockwise_batch takes them
+        assert kl_upper_bound("stepwise", 3, 1, 1000, eta=0.6005) == selection_gap(3) * 600
+
     def test_single_stream_is_zero(self):
         for method in ("best_of_n", "blockwise", "stepwise"):
             assert kl_upper_bound(method, 1, 50, 1000) == 0.0

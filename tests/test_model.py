@@ -29,6 +29,7 @@ from diffguide.model import (
     time_embedding,
     with_params,
 )
+from diffguide.samplers import STATE_BOUND
 
 
 def rel_err(got, want):
@@ -139,6 +140,69 @@ class TestForward:
         emb = time_embedding(np.array([1, 500, 1000]), 1000, 32, 1000.0)
         assert emb.shape == (3, 32)
         assert np.all(np.abs(emb) <= 1.0)
+
+
+def plain_z1(model, x, t, sched):
+    """Layer-1 pre-activations of the documented model in plain numpy."""
+    steps = np.broadcast_to(t, (len(x),))
+    emb = time_embedding(steps, sched.T, model.embed_width, model.freq_base)
+    return np.concatenate([(x - model.in_shift) / model.in_scale, emb], axis=1) @ model.w1 + model.b1
+
+
+def plain_eps(model, x, t, sched):
+    """The documented model in plain numpy: biases added apart, no sign
+    folding, SiLU as ``z / (1 + exp(-z))``."""
+    act = (lambda z: z / (1.0 + np.exp(-z))) if model.activation == "silu" else (lambda z: z)
+    a2 = act(act(plain_z1(model, x, t, sched)) @ model.w2 + model.b2)
+    return a2 @ model.w3 + model.b3
+
+
+class TestPlainEvaluation:
+    @pytest.mark.parametrize("n", [1, 5, 2 * model_module.CHUNK_ROWS + 5])
+    @pytest.mark.parametrize("per_row_steps", [False, True])
+    @pytest.mark.parametrize("activation", ["silu", "identity"])
+    def test_matches_the_documented_model(self, activation, per_row_steps, n):
+        sched = build_linear_schedule(1000)
+        model = init_model(128, 32, seed=5, activation=activation, in_shift=[5.0, 5.7], in_scale=3.0)
+        rng = np.random.default_rng(n)
+        x = rng.normal(5.0, 4.0, size=(n, 2))
+        t = rng.integers(1, 1001, size=n) if per_row_steps else 400
+        want = plain_eps(model, x, t, sched)
+        # relative to the output's scale: a near-zero output carries the
+        # rounding of its larger terms
+        np.testing.assert_allclose(
+            predict_eps(model, x, t, sched), want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want))
+        )
+
+    def test_states_at_the_bound_stay_finite(self):
+        """At |x| = STATE_BOUND some pre-activations lie below -709.78,
+        where exp(-z) overflows to inf; that gives the exact limits of SiLU
+        and its sigmoid, so every path returns finite results and raises no
+        RuntimeWarning."""
+        sched = build_linear_schedule(1000)
+        model = init_model(128, 32, seed=2, in_shift=[5.0, 5.7], in_scale=3.0)
+        corners = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [1.0, 0.0], [0.0, -1.0]])
+        x = STATE_BOUND * corners
+        steps = np.array([1, 10, 200, 500, 900, 1000])
+        cot = np.ones_like(x)
+        assert np.min(plain_z1(model, x, 400, sched)) < -709.78
+
+        def cotangent_of(x, eps):
+            return np.ones_like(eps)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = [
+                predict_eps(model, x, 400, sched),
+                predict_eps(model, x, steps, sched),
+                input_grad(model, x, 400, sched, cot),
+                input_grad(model, x, steps, sched, cot),
+                *eps_and_input_grad(model, x, 400, sched, cotangent_of),
+            ]
+            bundle = loss_and_param_grads(model, x, cot, steps, sched)
+        results += [bundle.loss, *(arr for _, arr in bundle.params())]
+        for arr in results:
+            assert np.all(np.isfinite(arr))
 
 
 class TestParamGrads:

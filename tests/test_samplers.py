@@ -1,5 +1,7 @@
 """Guided samplers: special-case reductions, selection logic, counters."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,20 @@ from diffguide.samplers import STATE_BOUND, _block_bounds
 SCHED = build_linear_schedule(50)
 MODEL = init_model(12, 6, seed=1)
 REWARD = GaussianReward(mu=[14.0, 3.0], sigma=2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_study_batch(scale):
+    """200 exact-chain gradient runs on the exact predictor of the study
+    prior (T=1000): ``(samples, counters, kl)``, with the Gaussian-fit KL of
+    the samples against 200 base runs."""
+    prior = paper_prior()
+    model = MixtureEps(weights=prior._weights, means=prior._means, sigma=prior.sigma)
+    sched = build_linear_schedule(1000)
+    seeds = [streams.derive_seed(41, i) for i in range(200)]
+    out, counters = grad_guided_batch(model, sched, REWARD, scale, seeds)
+    base = fit_gaussian(base_sample(model, sched, 200, seed=43))
+    return out, counters, gaussian_kl(fit_gaussian(out), base)
 
 
 def separate_calls_grad_batch(model, sched, spec, scale, seeds):
@@ -371,15 +387,18 @@ class TestGradGuidance:
     @pytest.mark.parametrize("scale", [1.0, 5.0, 50.0])
     def test_exact_predictor_stays_bounded_on_the_study_prior(self, scale):
         """With the exact mixture predictor of the study prior (T=1000),
-        the exact-chain guided batch runs to the end at scales where the
-        trained model's chains can blow up, and lands near the reward."""
-        prior = paper_prior()
-        model = MixtureEps(weights=prior._weights, means=prior._means, sigma=prior.sigma)
-        seeds = [streams.derive_seed(41, i) for i in range(20)]
-        out, counters = grad_guided_batch(model, build_linear_schedule(1000), REWARD, scale, seeds)
+        the exact-chain guided batch of 200 runs goes to the end at scales
+        where the trained model's chains can blow up, lands near the reward,
+        and moves further from the base distribution as the scale grows: the
+        Gaussian-fit KL against a 200-run base batch rises from scale 1 to 5
+        to 50."""
+        out, counters, kl = exact_study_batch(scale)
         assert counters.stopped_at is None
         assert np.all(np.abs(out) <= STATE_BOUND)
         assert np.linalg.norm(out.mean(axis=0) - REWARD._mu) < 3.0
+        lower = {5.0: 1.0, 50.0: 5.0}.get(scale)
+        if lower is not None:
+            assert kl > exact_study_batch(lower)[2]
 
     def test_frozen_chain_mode(self):
         got = grad_guided_sample(MODEL, SCHED, REWARD, 1.0, seed=3, exact_chain=False)

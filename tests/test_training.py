@@ -88,19 +88,35 @@ class TestTrain:
 
     def test_parameters_do_not_depend_on_blas_threads(self):
         """The study-width model trained with one and with two BLAS threads
-        has the same parameter bytes.  6000 examples in batches of 1024
-        leave an 880-row tail batch.  Each run is a fresh process, because
-        the thread count is read when numpy is imported."""
+        has the same parameter bytes, and sampling with it gives the same
+        bits: ``predict_eps`` and ``input_grad`` on a 1000-row batch, a
+        small blockwise batch and a small gradient-guided batch.  6000
+        examples in batches of 1024 leave an 880-row tail batch.  Each run
+        is a fresh process, because the thread count is read when numpy is
+        imported."""
         script = (
             "import hashlib\n"
-            "from diffguide import TrainConfig, build_linear_schedule, init_model, paper_prior, train\n"
+            "import numpy as np\n"
+            "from diffguide import (GaussianReward, TrainConfig, blockwise_batch, build_linear_schedule,\n"
+            "    grad_guided_batch, init_model, input_grad, paper_prior, predict_eps, train)\n"
             "from diffguide.training import pooled_input_stats\n"
+            "def digest(arrays):\n"
+            "    return hashlib.sha256(b''.join(np.asarray(a).tobytes() for a in arrays)).hexdigest()\n"
             "sched = build_linear_schedule(1000)\n"
             "shift, scale = pooled_input_stats(paper_prior(), sched)\n"
             "model = init_model(128, 32, seed=0, in_shift=shift, in_scale=scale)\n"
             "cfg = TrainConfig(epochs=2, dataset_size=6000, batch_size=1024, seed=0)\n"
             "trained, _ = train(model, paper_prior(), sched, cfg)\n"
-            "print(hashlib.sha256(b''.join(a.tobytes() for _, a in trained.params())).hexdigest())\n"
+            "print(digest(a for _, a in trained.params()))\n"
+            "rng = np.random.default_rng(1)\n"
+            "x = rng.normal(5.0, 4.0, size=(1000, 2))\n"
+            "steps = rng.integers(1, 1001, size=1000)\n"
+            "print(digest([predict_eps(trained, x, 700, sched), predict_eps(trained, x, steps, sched)]))\n"
+            "print(digest([input_grad(trained, x, 700, sched, x),\n"
+            "              input_grad(trained, x, steps, sched, x)]))\n"
+            "reward = GaussianReward(mu=[14.0, 3.0], sigma=2.0)\n"
+            "print(digest([blockwise_batch(trained, sched, reward, 3, 100, list(range(12)))[0]]))\n"
+            "print(digest([grad_guided_batch(trained, sched, reward, 1.0, list(range(12)))[0]]))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(diffguide.__file__)))
         digests = []
@@ -110,7 +126,8 @@ class TestTrain:
                 [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
             )
             assert run.returncode == 0, run.stderr
-            digests.append(run.stdout.strip())
+            digests.append(run.stdout.split())
+        assert len(digests[0]) == 5
         assert digests[0] == digests[1]
 
     def test_smoke_training_reduces_loss(self):
