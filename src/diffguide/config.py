@@ -14,7 +14,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .metrics import BOUNDED_METHODS
+from .model import init_model
 from .rewards import GaussianReward, QuantizedReward, RewardSpec
+from .schedule import build_linear_schedule
 from .training import GmmSpec, TrainConfig
 
 METHODS = ("base", "grad") + BOUNDED_METHODS
@@ -46,7 +48,6 @@ _METHOD_FIELDS = (
     ("n_streams", ("best_of_n", "blockwise", "stepwise", "blockwise_ref"), 1),
     ("block_size", ("blockwise", "blockwise_ref"), None),
     ("scale", ("grad",), 0),
-    ("exact_chain", ("grad",), True),
     ("x_ref", ("blockwise_ref",), None),
 )
 
@@ -60,7 +61,6 @@ class GuidancePoint:
     block_size: int | None = None
     eta: float = 1.0
     scale: float = 0.0
-    exact_chain: bool = True
     x_ref: tuple[float, float] | None = None
     seed: int | None = None
 
@@ -122,6 +122,8 @@ class ShiftStudyConfig:
             raise ConfigError("shift study needs at least one method cell")
         if self.runs_per_cell < 2:
             raise ConfigError("runs_per_cell must be >= 2")
+        if any(cell.seed is not None for cell in self.cells):
+            raise ConfigError("shift_study cells take no seed; it derives from the config seed and the cell")
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,11 @@ class ExperimentConfig:
             raise ConfigError("samples_per_point must be >= 2")
         if self.kl_samples < 2:
             raise ConfigError("kl_samples must be >= 2")
+        try:
+            build_linear_schedule(self.T, self.beta_start, self.beta_end)
+            init_model(self.hidden_width, self.embed_width, 0, self.activation, self.freq_base)
+        except ValueError as exc:
+            raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def _known(section: dict, keys, where: str) -> dict:

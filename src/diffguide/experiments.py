@@ -136,9 +136,7 @@ def _guided_batch(
         out = base_sample(model, sched, count, row_seed, counters)
         return out, counters
     if point.method == "grad":
-        out, counters = grad_guided_batch(
-            model, sched, spec, point.scale, _run_seeds(row_seed, count), exact_chain=point.exact_chain
-        )
+        out, counters = grad_guided_batch(model, sched, spec, point.scale, _run_seeds(row_seed, count))
         if counters.stopped_at is not None:
             raise _diverged(
                 point,

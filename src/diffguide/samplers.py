@@ -283,7 +283,6 @@ def grad_guided_batch(
     spec: RewardSpec,
     scale: float,
     seeds,
-    exact_chain: bool = True,
 ) -> tuple[np.ndarray, RunCounters]:
     """Reward-gradient guided rollouts for a batch of independent runs.
 
@@ -292,10 +291,9 @@ def grad_guided_batch(
 
         eps' = eps - sqrt(1 - ab_t) * scale * grad_x log r(x0_hat(x))
 
-    With ``exact_chain`` the chain rule runs through the predictor's input
-    Jacobian (``eps_and_input_grad``, one model pass per step); otherwise
-    the frozen-noise approximation ``d x0_hat / d x ~= I / sqrt(ab_t)`` is
-    used.
+    The chain rule runs through the predictor's input Jacobian,
+    ``d x0_hat / d x = (I - sqrt(1 - ab_t) d eps / d x) / sqrt(ab_t)``, with
+    the noise and its input VJP from one ``eps_and_input_grad`` pass per step.
 
     If a step leaves any state non-finite or with a coordinate beyond
     ``STATE_BOUND``, the whole batch stops there: every sample is NaN,
@@ -318,12 +316,8 @@ def grad_guided_batch(
             ab = sched.alpha_bar[t]
             score = _endpoint_score(spec, sched, t)
             counters.reward_queries += 1
-            if exact_chain:
-                eps_hat, g, vjp = eps_and_input_grad(model, x, t, sched, score)
-                glog = (g - np.sqrt(1.0 - ab) * vjp) / np.sqrt(ab)
-            else:
-                eps_hat = predict_eps(model, x, t, sched)
-                glog = score(x, eps_hat) / np.sqrt(ab)
+            eps_hat, g, vjp = eps_and_input_grad(model, x, t, sched, score)
+            glog = (g - np.sqrt(1.0 - ab) * vjp) / np.sqrt(ab)
             eps_hat = eps_hat - np.sqrt(1.0 - ab) * scale * glog
         else:
             eps_hat = predict_eps(model, x, t, sched)
@@ -346,9 +340,8 @@ def grad_guided_sample(
     spec: RewardSpec,
     scale: float,
     seed: int,
-    exact_chain: bool = True,
     counters: RunCounters | None = None,
 ) -> np.ndarray:
     """One reward-gradient guided sample; ``scale = 0`` reduces to the base chain."""
-    batch = grad_guided_batch(model, sched, spec, scale, [seed], exact_chain=exact_chain)
+    batch = grad_guided_batch(model, sched, spec, scale, [seed])
     return _one_run(batch, counters)

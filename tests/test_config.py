@@ -119,10 +119,7 @@ class TestFieldsTheMethodIgnores:
                 {"method": "blockwise", "n_streams": 2, "block_size": 5, "scale": 1.0},
                 "blockwise needs scale = 0",
             ),
-            (
-                {"method": "stepwise", "n_streams": 2, "exact_chain": False},
-                "exact_chain applies to grad only; stepwise needs exact_chain = True",
-            ),
+            ({"method": "grad", "exact_chain": True}, "unknown sweep point keys: ['exact_chain']"),
             (
                 {"method": "best_of_n", "n_streams": 2, "x_ref": [1.0, 2.0]},
                 "x_ref applies to blockwise_ref only; best_of_n takes no x_ref",
@@ -163,3 +160,42 @@ class TestFieldsTheMethodIgnores:
             {"method": "blockwise_ref", "n_streams": 2, "block_size": 5, "x_ref": [1.0, 2.0]}
         ]
         assert run(tmp_path, cfg, "sweep", "--checkpoint", checkpoint) == 0
+
+
+class TestShiftCells:
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ({"method": "grad", "exact_chain": True}, "unknown sweep point keys: ['exact_chain']"),
+            # every cell's seed is derived from the config seed, so a cell seed
+            # would be accepted and change nothing
+            ({"method": "best_of_n", "n_streams": 2, "seed": 12345}, "shift_study cells take no seed"),
+        ],
+    )
+    def test_cell_is_refused(self, tmp_path, checkpoint, capsys, cell, message):
+        cfg = base_config(tmp_path)
+        cfg["shift_study"] = {"displacements": [0.0, 2.0], "runs_per_cell": 4, "cells": [cell]}
+        assert run(tmp_path, cfg, "shift-study", "--checkpoint", checkpoint) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "shift.csv").exists()
+
+
+class TestScheduleAndModelValues:
+    """Values that ``build_linear_schedule`` or ``init_model`` refuse are
+    refused when the config loads, before ``train`` starts."""
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("schedule", "T", 0, "T must be a positive integer, got 0"),
+            ("schedule", "beta_start", 0.7, "need 0 < beta_start <= beta_end < 1, got (0.7, 0.6)"),
+            ("model", "hidden_width", 0, "hidden_width must be >= 1, got 0"),
+            ("model", "activation", "relu", "unknown activation 'relu'"),
+        ],
+    )
+    def test_train_is_refused(self, tmp_path, capsys, section, key, value, message):
+        cfg = base_config(tmp_path)
+        cfg[section][key] = value
+        assert run(tmp_path, cfg, "train") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
