@@ -1,4 +1,4 @@
-"""Exact noise predictor for an isotropic Gaussian prior.
+"""Exact noise predictors for isotropic Gaussian-mixture priors.
 
 When the clean data is ``N(mean, sigma^2 I)``, the noised marginal at step t
 is ``N(sqrt(ab) mean, (ab sigma^2 + 1 - ab) I)`` and the ideal predictor has
@@ -6,7 +6,10 @@ the closed form
 
     eps*(x, t) = sqrt(1 - ab) (x - sqrt(ab) mean) / (ab sigma^2 + 1 - ab)
 
-This plugs into the same sampler and value-estimation code paths as the
+A mixture of such components keeps that form with ``mean`` replaced by the
+posterior-responsibility average of the component means (``MixtureEps``); a
+single Gaussian is a one-component mixture (``IsotropicGaussianEps``).
+These plug into the same sampler and value-estimation code paths as the
 trained MLP, which makes exact oracle comparisons possible.
 """
 
@@ -18,39 +21,6 @@ import numpy as np
 
 from .model import input_grad, predict_eps
 from .schedule import NoiseSchedule, _check_t, _coef
-
-
-@dataclass(frozen=True)
-class IsotropicGaussianEps:
-    mean: np.ndarray
-    sigma: float
-    _mean: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_mean", np.asarray(self.mean, dtype=np.float64))
-        if self._mean.shape != (2,):
-            raise ValueError("mean must be a 2-vector")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-
-def _gain(model: IsotropicGaussianEps, t, sched: NoiseSchedule):
-    t = _check_t(t, sched.T)
-    ab = _coef(sched.alpha_bar, t)
-    return ab, np.sqrt(1.0 - ab) / (ab * model.sigma**2 + 1.0 - ab)
-
-
-@predict_eps.register
-def _(model: IsotropicGaussianEps, x, t, sched: NoiseSchedule):
-    x = np.asarray(x, dtype=np.float64)
-    ab, gain = _gain(model, t, sched)
-    return gain * (x - np.sqrt(ab) * model._mean)
-
-
-@input_grad.register
-def _(model: IsotropicGaussianEps, x, t, sched: NoiseSchedule, cotangent):
-    _, gain = _gain(model, t, sched)
-    return gain * np.asarray(cotangent, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -118,3 +88,12 @@ def _(model: MixtureEps, x, t, sched: NoiseSchedule, cotangent):
     along = np.sum(spread * cot[..., None, :], axis=-1)  # (..., k)
     cov_cot = np.sum((resp * along)[..., None] * spread, axis=-2)
     return np.sqrt(1.0 - ab) / var * (cot - ab / var * cov_cot)
+
+
+def IsotropicGaussianEps(mean, sigma: float) -> MixtureEps:
+    """Exact predictor for the prior ``N(mean, sigma^2 I)``: the mixture
+    predictor with one component."""
+    mean = np.asarray(mean, dtype=np.float64)
+    if mean.shape != (2,):
+        raise ValueError("mean must be a 2-vector")
+    return MixtureEps(weights=[1.0], means=[mean], sigma=sigma)

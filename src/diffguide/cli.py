@@ -144,6 +144,7 @@ def cmd_guide(args) -> int:
         eta=args.eta,
         scale=args.scale,
     )
+    point.check_reward(cfg.reward, "guide")
     from .experiments import _guided_batch
 
     start = time.perf_counter()

@@ -80,6 +80,21 @@ class GuidancePoint:
                 needs = f"takes no {name}" if value is None else f"needs {name} = {value}"
                 raise ConfigError(f"{name} applies to {uses} only; {self.method} {needs}")
 
+    def check_reward(self, reward: RewardSpec, where: str) -> None:
+        """Refuse a point that ``reward`` cannot serve, before any sampling:
+        gradient guidance needs the reward's gradient, and drawn references
+        (``blockwise_ref`` with ``eta < 1`` and no ``x_ref``) need its
+        distribution.  Only the Gaussian reward has both."""
+        if isinstance(reward, GaussianReward):
+            return
+        if self.method == "grad":
+            need = f"gradient guidance needs a differentiable reward, and {type(reward).__name__} has none"
+        elif self.method == "blockwise_ref" and self.eta < 1.0 and self.x_ref is None:
+            need = "blockwise_ref needs an explicit x_ref when the reward has no distribution"
+        else:
+            return
+        raise ConfigError(f"{where} ({self.label()}): {need}")
+
     def resolved_block(self, T: int) -> int:
         """Concrete block size: stepwise pins 1, best-of-n pins T."""
         if self.method == "stepwise":
@@ -155,6 +170,10 @@ class ExperimentConfig:
             init_model(self.hidden_width, self.embed_width, 0, self.activation, self.freq_base)
         except ValueError as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
+        for i, point in enumerate(self.sweep):
+            point.check_reward(self.reward, f"sweep[{i}]")
+        for i, cell in enumerate(self.shift.cells if self.shift else ()):
+            cell.check_reward(self.reward, f"shift_study.cells[{i}]")
 
 
 def _known(section: dict, keys, where: str) -> dict:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import streams
-from .config import ConfigError, ExperimentConfig, GuidancePoint, ShiftStudyConfig
+from .config import ExperimentConfig, GuidancePoint, ShiftStudyConfig
 from .metrics import (
     GaussianFit,
     batch_variance,
@@ -29,7 +29,7 @@ from .metrics import (
     kl_upper_bound,
     win_rate,
 )
-from .rewards import GaussianReward, QuantizedReward, RewardSpec
+from .rewards import GaussianReward, QuantizedReward, RewardSpec, UnsupportedRewardError
 from .samplers import STATE_BOUND, RunCounters, base_sample, blockwise_batch, grad_guided_batch
 from .schedule import NoiseSchedule
 from .training import GmmSpec, mixture_mean
@@ -116,9 +116,7 @@ def _run_seeds(row_seed: int, count: int) -> np.ndarray:
 def _draw_refs(spec: RewardSpec, run_seeds: np.ndarray) -> np.ndarray:
     """Per-run reference points drawn from the reward distribution."""
     if not isinstance(spec, GaussianReward):
-        raise ConfigError(
-            "blockwise_ref needs an explicit x_ref when the reward has no distribution"
-        )
+        raise UnsupportedRewardError(f"{type(spec).__name__} has no distribution to draw references from")
     z = streams.normal_pair(run_seeds, streams.ROLE_REF, 0, 0)
     return spec._mu + spec.sigma * z
 

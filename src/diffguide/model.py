@@ -47,36 +47,34 @@ class CheckpointShapeError(CheckpointError):
 ACTIVATIONS = ("silu", "identity")
 
 
-def _activate(activation: str, nz, d, na):
-    """``na = -act(z)`` in place from ``nz = -z``; for silu also leaves
+def _activate(activation: str, na, d):
+    """``na = -z`` turned into ``-act(z)`` in place; for silu also leaves
     ``d = 1 + exp(-z)`` in ``d``.
 
     silu is ``z / (1 + exp(-z))``, so ``-a = (-z) / d``: three passes, and
     the division gives every evaluation path the same bits.  ``exp``
     overflows to inf for ``z < -709.78``; callers run this under
     ``np.errstate(over="ignore")``, and ``d = inf`` then gives the exact
-    limits ``a = -0`` and ``sigmoid(z) = 1 / d = 0``.
+    limit ``a = -0``.
     """
     if activation == "identity":
-        np.copyto(na, nz)
         return
-    np.exp(nz, out=d)
+    np.exp(na, out=d)
     d += 1.0
-    np.divide(nz, d, out=na)
+    na /= d
 
 
-def _act_grad(activation: str, nz, d, upstream, out):
-    """``out = act'(z) * upstream`` from the forward pass's ``nz = -z`` and
-    ``d``.  silu' is ``s (1 + z (1 - s))`` with ``s = 1 / d``, which
-    overwrites ``d``; ``d = inf`` gives ``s = 0`` and a zero gradient."""
+def _act_grad(activation: str, na, d, upstream, out):
+    """``out = act'(z) * upstream`` from the forward pass's ``na = -act(z)``
+    and ``d``, both left intact.  silu' is ``s + a (1 - s)`` with
+    ``s = 1 / d``, that is ``(1 + (-a)) / d - (-a)``: four passes and one
+    division.  ``d = inf`` gives ``-a = 0`` and a zero derivative."""
     if activation == "identity":
         np.copyto(out, upstream)
         return
-    s = np.reciprocal(d, out=d)
-    np.subtract(s, 1.0, out=out)
-    out *= nz
-    out += 1.0
-    out *= s
+    np.add(na, 1.0, out=out)
+    out /= d
+    out -= na
     out *= upstream
 
 
@@ -223,9 +221,10 @@ def _buffer(name: str, width: int) -> np.ndarray:
     every call (training took 1.8 times as long with buffers made afresh per
     call).  A chunk with ``m`` real rows does its elementwise work on those
     rows only.  Every buffer a matrix product reads is written before it is
-    read, with zeros below the real rows (``_padded``, ``_real``), so what an
-    earlier evaluation left in the buffers never reaches a result.  Every
-    evaluation returns freshly allocated arrays.
+    read, with zeros below the real rows (``_padded``, ``_real``, or the
+    product of such zeros), so what an earlier evaluation left in the
+    buffers never reaches a result.  Every evaluation returns freshly
+    allocated arrays.
     """
     buffers = getattr(_scratch, "buffers", None)
     if buffers is None:
@@ -277,21 +276,23 @@ def _batch(x, t, sched: NoiseSchedule, cotangent=None):
 
 
 def _hidden_chunks(model: EpsModel, rows, t, sched: NoiseSchedule):
-    """Both hidden layers over ``rows`` in padded chunks of ``CHUNK_ROWS`` rows.
+    """The model over ``rows`` in padded chunks of ``CHUNK_ROWS`` rows.
 
-    Yields ``(lo, m, inp, nz1, d1, na1, nz2, d2, na2)`` per chunk holding
-    rows ``lo:lo + m``.  ``inp`` is the layer-1 input: the whitened point
-    and a 1, with the step embedding between them for a step per row.
-    ``nz``, ``d`` and ``na`` hold each hidden layer's negated
-    pre-activation ``-z``, ``1 + exp(-z)`` and negated activation ``-a``
-    (``_activate``).  The products give ``-z`` directly: the layer-1 matrix
-    is ``-[w1; b1]`` with the bias as its last row, or for a scalar step
-    ``-[w1[:2]; emb w1[2:] + b1]``, and ``-b2`` is added from a tile.  The
-    sign cancels in the layer-2 product and in the output layer, which
-    computes ``b3 - (-a2) w3``.  Negation is exact, so the signs cost no
-    bits.  The buffers have ``CHUNK_ROWS`` rows, of which the first ``m``
-    are real; ``inp``, ``nz1``, ``na1``, ``nz2`` and ``na2`` are zero below
-    them, ``d1`` and ``d2`` hold nothing meaningful there.
+    Yields ``(lo, m, inp, na1, d1, na2, d2, y)`` per chunk holding rows
+    ``lo:lo + m``.  ``inp`` is the layer-1 input: the whitened point and a
+    1, with the step embedding between them for a step per row.  Each hidden
+    layer has one buffer ``na``: its product writes the negated
+    pre-activation ``-z`` there, and ``_activate`` turns it into the negated
+    activation ``-a``, leaving ``1 + exp(-z)`` in ``d``.  The products give
+    ``-z`` directly: the layer-1 matrix is ``-[w1; b1]`` with the bias as
+    its last row, or for a scalar step ``-[w1[:2]; emb w1[2:] + b1]``, and
+    ``-b2`` is added from a tile.  The sign cancels in the layer-2 product
+    and in the output layer, whose ``y = b3 - (-a2) w3`` is the predicted
+    noise; the caller may overwrite ``y``.  Negation is exact, so the signs
+    cost no bits.  The buffers have ``CHUNK_ROWS`` rows, of which the first
+    ``m`` are real; ``inp``, ``na1``, ``na2`` and ``y`` are zero below them
+    (the products of zero input rows), ``d1`` and ``d2`` hold nothing
+    meaningful there.
     """
     n = rows.shape[0]
     width = model.hidden_width
@@ -309,7 +310,8 @@ def _hidden_chunks(model: EpsModel, rows, t, sched: NoiseSchedule):
     b2 = _buffer("b2", width)
     np.negative(model.b2, out=b2[: min(n, CHUNK_ROWS)])
     whitened = (rows - model.in_shift) / model.in_scale
-    nz1, d1, na1, nz2, d2, na2 = (_buffer(k, width) for k in ("nz1", "d1", "na1", "nz2", "d2", "na2"))
+    na1, d1, na2, d2 = (_buffer(k, width) for k in ("na1", "d1", "na2", "d2"))
+    y = _buffer("y", 2)
     for lo in range(0, n, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n)
         m = hi - lo
@@ -320,35 +322,34 @@ def _hidden_chunks(model: EpsModel, rows, t, sched: NoiseSchedule):
             np.take(inputs, t[lo:hi], axis=0, out=real, mode="clip")
         real[:, :2] = whitened[lo:hi]
         with np.errstate(over="ignore"):
-            np.matmul(inp, w1, out=nz1)
-            _activate(model.activation, nz1[:m], d1[:m], _real(na1, m))
-            np.matmul(na1, model.w2, out=nz2)
-            nz2[:m] += b2[:m]
-            _activate(model.activation, nz2[:m], d2[:m], _real(na2, m))
-        yield lo, m, inp, nz1, d1, na1, nz2, d2, na2
+            np.matmul(inp, w1, out=na1)
+            _activate(model.activation, na1[:m], d1[:m])
+            np.matmul(na1, model.w2, out=na2)
+            na2[:m] += b2[:m]
+            _activate(model.activation, na2[:m], d2[:m])
+        np.matmul(na2, model.w3, out=y)
+        np.subtract(model.b3, y[:m], out=y[:m])
+        yield lo, m, inp, na1, d1, na2, d2, y
 
 
-def _backward(model: EpsModel, dout, m: int, nz1, d1, nz2, d2):
+def _backward(model: EpsModel, dout, m: int, na1, d1, na2, d2):
     """Gradients ``(dz2, dz1)`` at both hidden pre-activations of a chunk
     with ``m`` real rows, given ``dout``, the gradient at the output, zero
-    below them; ``dz2`` and ``dz1`` are zero below them too.  Consumes
-    ``d1`` and ``d2`` (``_act_grad``)."""
+    below them; ``dz2`` and ``dz1`` are zero below them too."""
     width = model.hidden_width
     upstream, dz2, dz1 = (_buffer(k, width) for k in ("upstream", "dz2", "dz1"))
     np.matmul(dout, model.w3.T, out=upstream)
-    _act_grad(model.activation, nz2[:m], d2[:m], upstream[:m], _real(dz2, m))
+    _act_grad(model.activation, na2[:m], d2[:m], upstream[:m], _real(dz2, m))
     np.matmul(dz2, model.w2.T, out=upstream)
-    _act_grad(model.activation, nz1[:m], d1[:m], upstream[:m], _real(dz1, m))
+    _act_grad(model.activation, na1[:m], d1[:m], upstream[:m], _real(dz1, m))
     return dz2, dz1
 
 
 def _predict(model: EpsModel, x, t, sched: NoiseSchedule):
     rows, t, _, single = _batch(x, t, sched)
     out = np.empty(rows.shape)
-    y = _buffer("y", 2)
-    for lo, m, *_, na2 in _hidden_chunks(model, rows, t, sched):
-        np.matmul(na2, model.w3, out=y)
-        np.subtract(model.b3, y[:m], out=out[lo : lo + m])
+    for lo, m, *_, y in _hidden_chunks(model, rows, t, sched):
+        out[lo : lo + m] = y[:m]
     return out[0] if single else out
 
 
@@ -356,19 +357,18 @@ def _eps_and_vjp(model: EpsModel, rows, t, sched: NoiseSchedule, cotangent):
     """Predicted noise, cotangents and their input VJP over ``rows``, each
     ``(n, 2)``, with one forward pass.
 
-    Per padded chunk the hidden layers run once: the output layer gives the
-    chunk's noise, ``cotangent(chunk, eps_rows)`` its cotangent rows (``chunk``
-    is the slice of the rows it holds), and the backward pass reuses the
-    chunk's pre-activations and exponentials.
+    Per padded chunk the model runs once: its output gives the chunk's
+    noise, ``cotangent(chunk, eps_rows)`` its cotangent rows (``chunk`` is
+    the slice of the rows it holds), and the backward pass reuses the
+    chunk's activations and exponentials.
     """
     eps, cots, vjp = (np.empty(rows.shape) for _ in range(3))
-    y, g = _buffer("y", 2), _buffer("g", 2)
-    for lo, m, _, nz1, d1, _, nz2, d2, na2 in _hidden_chunks(model, rows, t, sched):
+    g = _buffer("g", 2)
+    for lo, m, _, na1, d1, na2, d2, y in _hidden_chunks(model, rows, t, sched):
         chunk = slice(lo, lo + m)
-        np.matmul(na2, model.w3, out=y)
-        np.subtract(model.b3, y[:m], out=eps[chunk])
+        eps[chunk] = y[:m]
         cots[chunk] = cotangent(chunk, eps[chunk])
-        _, dz1 = _backward(model, _padded("cot", cots[chunk]), m, nz1, d1, nz2, d2)
+        _, dz1 = _backward(model, _padded("cot", cots[chunk]), m, na1, d1, na2, d2)
         np.matmul(dz1, model.w1[:2].T, out=g)
         np.divide(g[:m], model.in_scale, out=vjp[chunk])
     return eps, cots, vjp
@@ -414,18 +414,16 @@ def loss_and_param_grads(model: EpsModel, x0_batch, eps_batch, t_batch, sched: N
     dw1b1 = np.zeros((model.embed_width + 3, model.hidden_width))
     dw2, db2, dw3, db3 = (np.zeros_like(arr) for arr in (model.w2, model.b2, model.w3, model.b3))
     squares = 0.0
-    dout = _buffer("dout", 2)
-    for lo, m, inp, nz1, d1, na1, nz2, d2, na2 in _hidden_chunks(model, x_t, t, sched):
-        np.matmul(na2, model.w3, out=dout)
-        residual = _real(dout, m)
-        np.subtract(model.b3, residual, out=residual)
+    for lo, m, inp, na1, d1, na2, d2, y in _hidden_chunks(model, x_t, t, sched):
+        # y becomes the gradient at the output; its padded rows stay zero
+        residual = y[:m]
         residual -= eps[lo : lo + m]
-        squares += np.sum(dout * dout)
+        squares += np.sum(y * y)
         residual *= 2.0 / n
-        dz2, dz1 = _backward(model, dout, m, nz1, d1, nz2, d2)
+        dz2, dz1 = _backward(model, y, m, na1, d1, na2, d2)
         # the buffers hold -a1 and -a2
-        dw3 -= na2.T @ dout
-        db3 += dout.sum(axis=0)
+        dw3 -= na2.T @ y
+        db3 += y.sum(axis=0)
         dw2 -= na1.T @ dz2
         db2 += dz2.sum(axis=0)
         dw1b1 += inp.T @ dz1

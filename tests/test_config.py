@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from diffguide import build_linear_schedule, init_model
+from diffguide import build_linear_schedule, experiments, init_model
 from diffguide.cli import main
 from diffguide.config import config_from_dict, example_config
 from diffguide.model import save_checkpoint
@@ -178,6 +178,62 @@ class TestShiftCells:
         assert run(tmp_path, cfg, "shift-study", "--checkpoint", checkpoint) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "shift.csv").exists()
+
+
+class TestPointsTheRewardCannotServe:
+    """Gradient guidance under the quantized reward, or references drawn
+    from a reward with no distribution, are refused when the config loads or
+    when ``guide`` builds its point: exit 2 and a message that names the
+    point, before any sampling."""
+
+    QUANTIZED = {"kind": "quantized", "mu": [10, 3], "delta": 1.0}
+    GRAD = ({"method": "grad", "scale": 1.0}, "(grad-n1-s1): gradient guidance needs a differentiable reward")
+    REF = (
+        {"method": "blockwise_ref", "n_streams": 2, "block_size": 5, "eta": 0.5},
+        "(blockwise_ref-n2-b5-eta0.5): blockwise_ref needs an explicit x_ref",
+    )
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        for name in ("base_sample", "blockwise_batch", "grad_guided_batch"):
+            monkeypatch.setattr(experiments, name, refuse)
+
+    @pytest.mark.parametrize("point, message", [GRAD, REF])
+    def test_sweep(self, tmp_path, checkpoint, capsys, point, message):
+        cfg = base_config(tmp_path)
+        cfg["reward"] = self.QUANTIZED
+        cfg["sweep"] = [{"method": "base"}, point]
+        assert run(tmp_path, cfg, "sweep", "--checkpoint", checkpoint) == 2
+        assert f"sweep[1] {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cell, message", [GRAD, REF])
+    def test_shift_study(self, tmp_path, checkpoint, capsys, cell, message):
+        cfg = base_config(tmp_path)
+        cfg["reward"] = self.QUANTIZED
+        cells = [{"method": "best_of_n", "n_streams": 2}, cell]
+        cfg["shift_study"] = {"displacements": [0.0, 2.0], "runs_per_cell": 4, "cells": cells}
+        assert run(tmp_path, cfg, "shift-study", "--checkpoint", checkpoint) == 2
+        assert f"shift_study.cells[1] {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--method", "grad", "--scale", "1"], GRAD[1]),
+            (["--method", "blockwise_ref", "--n-streams", "2", "--block-size", "5", "--eta", "0.5"], REF[1]),
+        ],
+    )
+    def test_guide(self, tmp_path, checkpoint, capsys, args, message):
+        cfg = base_config(tmp_path)
+        cfg["reward"] = self.QUANTIZED
+        assert run(tmp_path, cfg, "guide", "--checkpoint", checkpoint, *args) == 2
+        out, err = capsys.readouterr()
+        assert f"guide {message}" in err
+        assert out == ""
 
 
 class TestScheduleAndModelValues:

@@ -23,7 +23,7 @@ from diffguide.experiments import (
     read_csv,
 )
 from diffguide.metrics import selection_gap
-from diffguide.rewards import GaussianReward, QuantizedReward
+from diffguide.rewards import GaussianReward, QuantizedReward, UnsupportedRewardError
 from diffguide.training import paper_prior
 
 SCHED = build_linear_schedule(40, 1e-3, 0.2)
@@ -114,6 +114,14 @@ class TestRunSweep:
         rows = run_sweep(MODEL, SCHED, spec, points, 30, 30, seed=4)
         assert len(rows) == 3
         assert all(np.isfinite(r.expected_reward) for r in rows)
+
+    def test_quantized_reward_has_no_references_to_draw(self):
+        """The library refuses drawn references under a reward with no
+        distribution; a config refuses such a point when it loads."""
+        spec = QuantizedReward(mu=[10.0, 3.0], delta=1.0)
+        point = GuidancePoint(method="blockwise_ref", n_streams=2, block_size=10, eta=0.5)
+        with pytest.raises(UnsupportedRewardError, match="no distribution to draw references from"):
+            run_sweep(MODEL, SCHED, spec, [point], 10, 10, seed=4)
 
     def test_diverged_point_names_the_step(self):
         """A gradient batch that leaves the bound is refused with the step

@@ -12,6 +12,7 @@ from diffguide import (
     IsotropicGaussianEps,
     build_linear_schedule,
     eps_and_input_grad,
+    forward_noising,
     init_model,
     input_grad,
     load_checkpoint,
@@ -142,50 +143,127 @@ class TestForward:
         assert np.all(np.abs(emb) <= 1.0)
 
 
-def plain_z1(model, x, t, sched):
-    """Layer-1 pre-activations of the documented model in plain numpy."""
+def plain_input(model, x, t, sched):
+    """Layer-1 input of the documented model: the whitened point and the
+    step embedding."""
     steps = np.broadcast_to(t, (len(x),))
     emb = time_embedding(steps, sched.T, model.embed_width, model.freq_base)
-    return np.concatenate([(x - model.in_shift) / model.in_scale, emb], axis=1) @ model.w1 + model.b1
+    return np.concatenate([(x - model.in_shift) / model.in_scale, emb], axis=1)
+
+
+def plain_z1(model, x, t, sched):
+    """Layer-1 pre-activations of the documented model in plain numpy."""
+    return plain_input(model, x, t, sched) @ model.w1 + model.b1
+
+
+def plain_layers(model, x, t, sched):
+    """The documented model in plain numpy: biases added apart, no sign
+    folding, SiLU as ``z / (1 + exp(-z))``.  Returns ``(z1, a1, z2, a2,
+    eps)``."""
+    act = (lambda z: z / (1.0 + np.exp(-z))) if model.activation == "silu" else (lambda z: z)
+    z1 = plain_z1(model, x, t, sched)
+    a1 = act(z1)
+    z2 = a1 @ model.w2 + model.b2
+    a2 = act(z2)
+    return z1, a1, z2, a2, a2 @ model.w3 + model.b3
 
 
 def plain_eps(model, x, t, sched):
-    """The documented model in plain numpy: biases added apart, no sign
-    folding, SiLU as ``z / (1 + exp(-z))``."""
-    act = (lambda z: z / (1.0 + np.exp(-z))) if model.activation == "silu" else (lambda z: z)
-    a2 = act(act(plain_z1(model, x, t, sched)) @ model.w2 + model.b2)
-    return a2 @ model.w3 + model.b3
+    return plain_layers(model, x, t, sched)[-1]
+
+
+def plain_backward(model, z1, z2, dout):
+    """Gradients ``(dz2, dz1)`` at both pre-activations from the gradient
+    ``dout`` at the output, with SiLU' as ``s (1 + z (1 - s))``."""
+
+    def act_grad(z):
+        if model.activation == "identity":
+            return np.ones_like(z)
+        s = 1.0 / (1.0 + np.exp(-z))
+        return s * (1.0 + z * (1.0 - s))
+
+    dz2 = (dout @ model.w3.T) * act_grad(z2)
+    return dz2, (dz2 @ model.w2.T) * act_grad(z1)
+
+
+def assert_close_to_scale(got, want, rtol):
+    """``got`` within ``rtol`` of ``want``, elementwise and relative to
+    ``want``'s largest entry: a near-zero entry carries the rounding of its
+    larger terms."""
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))
 
 
 class TestPlainEvaluation:
+    """The chunk kernel (sign-folded products, biases inside them, SiLU and
+    its derivative from ``-a`` and ``1 + exp(-z)``) against the documented
+    model written out in plain numpy."""
+
+    @staticmethod
+    def case(activation, per_row_steps, n):
+        model = init_model(128, 32, seed=5, activation=activation, in_shift=[5.0, 5.7], in_scale=3.0)
+        rng = np.random.default_rng(n)
+        x = rng.normal(5.0, 4.0, size=(n, 2))
+        t = rng.integers(1, 1001, size=n) if per_row_steps else 400
+        return model, x, t, rng.normal(size=(n, 2))
+
     @pytest.mark.parametrize("n", [1, 5, 2 * model_module.CHUNK_ROWS + 5])
     @pytest.mark.parametrize("per_row_steps", [False, True])
     @pytest.mark.parametrize("activation", ["silu", "identity"])
     def test_matches_the_documented_model(self, activation, per_row_steps, n):
         sched = build_linear_schedule(1000)
-        model = init_model(128, 32, seed=5, activation=activation, in_shift=[5.0, 5.7], in_scale=3.0)
-        rng = np.random.default_rng(n)
-        x = rng.normal(5.0, 4.0, size=(n, 2))
-        t = rng.integers(1, 1001, size=n) if per_row_steps else 400
-        want = plain_eps(model, x, t, sched)
-        # relative to the output's scale: a near-zero output carries the
-        # rounding of its larger terms
-        np.testing.assert_allclose(
-            predict_eps(model, x, t, sched), want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want))
+        model, x, t, _ = self.case(activation, per_row_steps, n)
+        assert_close_to_scale(predict_eps(model, x, t, sched), plain_eps(model, x, t, sched), 1e-13)
+
+    @pytest.mark.parametrize("n", [1, 5, 2 * model_module.CHUNK_ROWS + 5])
+    @pytest.mark.parametrize("per_row_steps", [False, True])
+    @pytest.mark.parametrize("activation", ["silu", "identity"])
+    def test_input_grad_matches_the_documented_model(self, activation, per_row_steps, n):
+        sched = build_linear_schedule(1000)
+        model, x, t, cot = self.case(activation, per_row_steps, n)
+        z1, _, z2, _, _ = plain_layers(model, x, t, sched)
+        _, dz1 = plain_backward(model, z1, z2, cot)
+        assert_close_to_scale(
+            input_grad(model, x, t, sched, cot), dz1 @ model.w1[:2].T / model.in_scale, 1e-12
         )
+
+    @pytest.mark.parametrize("n", [1, 5, 2 * model_module.CHUNK_ROWS + 5])
+    @pytest.mark.parametrize("per_row_steps", [False, True])
+    @pytest.mark.parametrize("activation", ["silu", "identity"])
+    def test_param_grads_match_the_documented_model(self, activation, per_row_steps, n):
+        sched = build_linear_schedule(1000)
+        model, x0, t, eps = self.case(activation, per_row_steps, n)
+        steps = np.broadcast_to(t, (n,))
+        x_t = forward_noising(x0, steps, eps, sched)
+        z1, a1, z2, a2, out = plain_layers(model, x_t, steps, sched)
+        dout = 2.0 * (out - eps) / n
+        dz2, dz1 = plain_backward(model, z1, z2, dout)
+        want = {
+            "w1": plain_input(model, x_t, steps, sched).T @ dz1,
+            "b1": dz1.sum(axis=0),
+            "w2": a1.T @ dz2,
+            "b2": dz2.sum(axis=0),
+            "w3": a2.T @ dout,
+            "b3": dout.sum(axis=0),
+        }
+        got = loss_and_param_grads(model, x0, eps, steps, sched)
+        assert_close_to_scale(got.loss, np.mean(np.sum((out - eps) ** 2, axis=1)), 1e-12)
+        for name in PARAM_NAMES:
+            assert_close_to_scale(getattr(got, name), want[name], 1e-12)
 
     def test_states_at_the_bound_stay_finite(self):
         """At |x| = STATE_BOUND some pre-activations lie below -709.78,
         where exp(-z) overflows to inf; that gives the exact limits of SiLU
-        and its sigmoid, so every path returns finite results and raises no
-        RuntimeWarning."""
+        and of its derivative (0), so every path returns finite results and
+        raises no RuntimeWarning."""
         sched = build_linear_schedule(1000)
         model = init_model(128, 32, seed=2, in_shift=[5.0, 5.7], in_scale=3.0)
         corners = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [1.0, 0.0], [0.0, -1.0]])
         x = STATE_BOUND * corners
         steps = np.array([1, 10, 200, 500, 900, 1000])
         cot = np.ones_like(x)
-        assert np.min(plain_z1(model, x, 400, sched)) < -709.78
+        z = plain_z1(model, x, 400, sched)
+        overflow = z < -709.79
+        assert overflow.any() and not overflow.all()
 
         def cotangent_of(x, eps):
             return np.ones_like(eps)
@@ -200,9 +278,16 @@ class TestPlainEvaluation:
                 *eps_and_input_grad(model, x, 400, sched, cotangent_of),
             ]
             bundle = loss_and_param_grads(model, x, cot, steps, sched)
-        results += [bundle.loss, *(arr for _, arr in bundle.params())]
+            # SiLU' from -a and d = 1 + exp(-z), as the backward pass forms it
+            na, d, act_grad = -z, np.empty_like(z), np.empty_like(z)
+            with np.errstate(over="ignore"):
+                model_module._activate("silu", na, d)
+            model_module._act_grad("silu", na, d, np.ones_like(z), act_grad)
+        results += [bundle.loss, *(arr for _, arr in bundle.params()), act_grad]
         for arr in results:
             assert np.all(np.isfinite(arr))
+        assert np.all(d[overflow] == np.inf)
+        assert np.all(act_grad[overflow] == 0.0)
 
 
 class TestParamGrads:
