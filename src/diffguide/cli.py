@@ -19,6 +19,7 @@ from .experiments import (
     SHIFT_COLUMNS,
     SWEEP_COLUMNS,
     GuidanceDivergedError,
+    guided_batch,
     run_shift_study,
     run_sweep,
     summary_payload,
@@ -96,18 +97,24 @@ def _load_checkpoint(path):
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, profile=args.profile, seed=args.seed, out_dir=args.out)
-    out = _ensure_out(cfg.out_dir)
-    sched = build_linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
+    try:
+        sched = build_linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
+    except ValueError as exc:
+        raise ConfigError(f"invalid schedule: {exc}") from exc
     in_shift, in_scale = pooled_input_stats(cfg.prior, sched)
-    model = init_model(
-        cfg.hidden_width,
-        cfg.embed_width,
-        streams.derive_seed(cfg.seed, _TAG_MODEL_INIT),
-        activation=cfg.activation,
-        freq_base=cfg.freq_base,
-        in_shift=in_shift,
-        in_scale=in_scale,
-    )
+    try:
+        model = init_model(
+            cfg.hidden_width,
+            cfg.embed_width,
+            streams.derive_seed(cfg.seed, _TAG_MODEL_INIT),
+            activation=cfg.activation,
+            freq_base=cfg.freq_base,
+            in_shift=in_shift,
+            in_scale=in_scale,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid model: {exc}") from exc
+    out = _ensure_out(cfg.out_dir)
     trained, losses = train(model, cfg.prior, sched, cfg.train)
     ckpt = os.path.join(out, "checkpoint.json")
     save_checkpoint(trained, sched, ckpt)
@@ -145,10 +152,9 @@ def cmd_guide(args) -> int:
         scale=args.scale,
     )
     point.check_reward(cfg.reward, "guide")
-    from .experiments import _guided_batch
-
+    block = point.resolved_block(sched.T, "guide")
     start = time.perf_counter()
-    out, counters = _guided_batch(model, sched, cfg.reward, point, cfg.seed, 1)
+    out, counters = guided_batch(model, sched, cfg.reward, point, block, cfg.seed, 1)
     wall_ms = (time.perf_counter() - start) * 1e3
     payload = {
         "sample": out[0].tolist(),
@@ -166,10 +172,10 @@ def cmd_sweep(args) -> int:
     if not cfg.sweep:
         raise ConfigError("config has an empty sweep list")
     model, sched = _load_checkpoint(args.checkpoint)
-    out = _ensure_out(cfg.out_dir)
     rows = run_sweep(
         model, sched, cfg.reward, cfg.sweep, cfg.samples_per_point, cfg.kl_samples, cfg.seed
     )
+    out = _ensure_out(cfg.out_dir)
     csv_path = os.path.join(out, "metrics.csv")
     write_csv(csv_path, SWEEP_COLUMNS, rows)
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
@@ -184,8 +190,8 @@ def cmd_shift_study(args) -> int:
     if cfg.shift is None:
         raise ConfigError("config has no shift_study section")
     model, sched = _load_checkpoint(args.checkpoint)
-    out = _ensure_out(cfg.out_dir)
     rows = run_shift_study(model, sched, cfg.reward, cfg.prior, cfg.shift, cfg.seed)
+    out = _ensure_out(cfg.out_dir)
     csv_path = os.path.join(out, "shift.csv")
     write_csv(csv_path, SHIFT_COLUMNS, rows)
     figures = plot_csv(csv_path, out)

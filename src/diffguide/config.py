@@ -1,23 +1,25 @@
 """Experiment configuration: JSON schema, validation, profiles.
 
 A config file is a single JSON document with nested sections (see
-``example_config`` for the full shape).  The ``ci`` profile shrinks the
-schedule and sample counts for fast smoke runs; ``full`` is the study-scale
-default.
+``example_config`` for the full shape).  One rule, ``_fields``, checks each
+section against the dataclass it builds: ``ExperimentConfig`` (the top
+level, ``schedule`` and ``model``), ``TrainConfig`` (``train``),
+``ShiftStudyConfig`` (``shift_study``) or ``GuidancePoint`` (each sweep
+point and shift cell).  It refuses unknown keys and values of the wrong
+type, an absent key keeps the field's default, and the dataclass then
+checks the values.  The ``ci`` profile shrinks the schedule and sample
+counts for fast smoke runs; ``full`` is the study-scale default.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 from .metrics import BOUNDED_METHODS
-from .model import init_model
 from .rewards import GaussianReward, QuantizedReward, RewardSpec
-from .schedule import build_linear_schedule
-from .training import GmmSpec, TrainConfig
+from .training import GmmSpec, TrainConfig, paper_prior
 
 METHODS = ("base", "grad") + BOUNDED_METHODS
 
@@ -73,6 +75,10 @@ class GuidancePoint:
             raise ConfigError("eta must be in (0, 1]")
         if self.scale < 0:
             raise ConfigError("scale must be >= 0")
+        if self.method in ("blockwise", "blockwise_ref") and (self.block_size is None or self.block_size < 1):
+            raise ConfigError(f"{self.method} needs block_size >= 1, got {self.block_size}")
+        if self.x_ref is not None and len(self.x_ref) != 2:
+            raise ConfigError(f"x_ref must be a 2-vector, got {self.x_ref}")
         for name, methods, value in _METHOD_FIELDS:
             if self.method not in methods and getattr(self, name) != value:
                 # "grad", "blockwise and blockwise_ref", "a, b, c and d"
@@ -95,19 +101,16 @@ class GuidancePoint:
             return
         raise ConfigError(f"{where} ({self.label()}): {need}")
 
-    def resolved_block(self, T: int) -> int:
-        """Concrete block size: stepwise pins 1, best-of-n pins T."""
+    def resolved_block(self, T: int, where: str) -> int:
+        """Concrete block size for a chain of ``T`` steps: stepwise pins 1,
+        best-of-n (and the methods without blocks) pin T."""
         if self.method == "stepwise":
             return 1
-        if self.method == "best_of_n":
+        if self.method not in ("blockwise", "blockwise_ref"):
             return T
-        if self.method in ("blockwise", "blockwise_ref"):
-            if self.block_size is None:
-                raise ConfigError(f"{self.method} requires block_size")
-            if not (1 <= self.block_size <= T):
-                raise ConfigError(f"block_size {self.block_size} outside [1, {T}]")
-            return self.block_size
-        return T
+        if self.block_size > T:
+            raise ConfigError(f"{where} ({self.label()}): block_size {self.block_size} exceeds the schedule's T = {T}")
+        return self.block_size
 
     def label(self) -> str:
         bits = [self.method, f"n{self.n_streams}"]
@@ -165,11 +168,6 @@ class ExperimentConfig:
             raise ConfigError("samples_per_point must be >= 2")
         if self.kl_samples < 2:
             raise ConfigError("kl_samples must be >= 2")
-        try:
-            build_linear_schedule(self.T, self.beta_start, self.beta_end)
-            init_model(self.hidden_width, self.embed_width, 0, self.activation, self.freq_base)
-        except ValueError as exc:
-            raise ConfigError(f"invalid configuration: {exc}") from exc
         for i, point in enumerate(self.sweep):
             point.check_reward(self.reward, f"sweep[{i}]")
         for i, cell in enumerate(self.shift.cells if self.shift else ()):
@@ -184,6 +182,49 @@ def _known(section: dict, keys, where: str) -> dict:
     return section
 
 
+# JSON sections whose keys are fields of ExperimentConfig itself
+_SECTIONS = {
+    "schedule": ("T", "beta_start", "beta_end"),
+    "model": ("hidden_width", "embed_width", "activation", "freq_base"),
+}
+_KINDS = {"int": "an integer", "float": "a number", "str": "a string"}
+
+
+def _value(value, kind: str, where: str):
+    """``value`` checked against its field's declared type ``kind``, or a
+    ``ConfigError`` naming ``where``.  An ``int`` takes an integral number,
+    a ``float`` any finite number, a ``str`` a string and a tuple of floats
+    a list of numbers; a bool is never a number, and ``| None`` also takes
+    null.  A value of any other kind passes as it is."""
+    base = kind.removesuffix(" | None")
+    if value is None and base != kind:
+        return None
+    if base.startswith("tuple[float"):
+        return tuple(_value(v, "float", f"an entry of {where}") for v in value)
+    if base not in _KINDS:
+        return value
+    number = type(value) in (int, float) and math.isfinite(value)
+    if base == "int" and number and value % 1 == 0:
+        return int(value)
+    if base == "float" and number:
+        return float(value)
+    if base == "str" and isinstance(value, str):
+        return value
+    null = " or null" if base != kind else ""
+    raise ConfigError(f"{where} must be {_KINDS[base]}{null}, got {value!r}")
+
+
+def _fields(section, cls, where: str, keys=None) -> dict:
+    """The JSON object ``section`` as keyword arguments of the dataclass
+    ``cls``: it may hold only ``keys`` (by default the fields of ``cls``),
+    and each value goes through ``_value`` with its field's type."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    kinds = {f.name: f.type for f in fields(cls)}
+    _known(section, kinds if keys is None else keys, where)
+    return {key: _value(value, kinds.get(key, ""), f"{where} key {key!r}") for key, value in section.items()}
+
+
 def _parse_reward(section) -> RewardSpec:
     kind = section.get("kind", "gaussian")
     if kind == "gaussian":
@@ -195,65 +236,37 @@ def _parse_reward(section) -> RewardSpec:
     raise ConfigError(f"unknown reward kind {kind!r}")
 
 
-def _parse_point(entry) -> GuidancePoint:
-    _known(entry, [f.name for f in fields(GuidancePoint)], "sweep point")
-    if "x_ref" in entry and entry["x_ref"] is not None:
-        entry = dict(entry, x_ref=tuple(float(v) for v in entry["x_ref"]))
-    return GuidancePoint(**entry)
-
-
-_TOP_KEYS = (
-    "seed", "out_dir", "schedule", "model", "prior", "reward", "train",
-    "sweep", "samples_per_point", "kl_samples", "shift_study",
-)
+def _parse_point(entry, where: str) -> GuidancePoint:
+    """A sweep point or shift cell; every refusal names it as ``where``."""
+    try:
+        return GuidancePoint(**_fields(entry, GuidancePoint, "sweep point"))
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     try:
-        _known(raw, _TOP_KEYS, "top-level")
-        prior_sec = _known(raw.get("prior", {}), ("weights", "means", "sigma"), "prior")
-        if prior_sec:
-            prior = GmmSpec(
-                weights=prior_sec["weights"],
-                means=prior_sec["means"],
-                sigma=float(prior_sec.get("sigma", 2.0)),
-            )
-        else:
-            from .training import paper_prior
-
-            prior = paper_prior()
-        reward = _parse_reward(raw.get("reward", {"kind": "gaussian", "mu": [14.0, 3.0]}))
-        sched_sec = _known(raw.get("schedule", {}), ("T", "beta_start", "beta_end"), "schedule")
-        train_sec = _known(raw.get("train", {}), [f.name for f in fields(TrainConfig)], "train")
-        model_sec = _known(
-            raw.get("model", {}), ("hidden_width", "embed_width", "activation", "freq_base"), "model"
+        # the top level holds the other fields, the shift study as shift_study
+        inner = {key for keys in _SECTIONS.values() for key in keys} | {"shift"}
+        top = [f.name for f in fields(ExperimentConfig) if f.name not in inner] + [*_SECTIONS, "shift_study"]
+        kwargs = _fields(raw, ExperimentConfig, "top-level", top)
+        for name, keys in _SECTIONS.items():
+            kwargs.update(_fields(kwargs.pop(name, {}), ExperimentConfig, name, keys))
+        prior = _known(kwargs.get("prior", {}), ("weights", "means", "sigma"), "prior")
+        kwargs["prior"] = (
+            GmmSpec(weights=prior["weights"], means=prior["means"], sigma=float(prior.get("sigma", 2.0)))
+            if prior
+            else paper_prior()
         )
-        shift = None
-        if "shift_study" in raw:
-            ss = _known(raw["shift_study"], ("displacements", "cells", "runs_per_cell"), "shift_study")
-            shift = ShiftStudyConfig(
-                displacements=tuple(float(d) for d in ss["displacements"]),
-                cells=tuple(_parse_point(c) for c in ss["cells"]),
-                runs_per_cell=int(ss.get("runs_per_cell", 500)),
-            )
-        return ExperimentConfig(
-            prior=prior,
-            reward=reward,
-            T=int(sched_sec.get("T", 1000)),
-            beta_start=float(sched_sec.get("beta_start", 1e-4)),
-            beta_end=float(sched_sec.get("beta_end", 0.02)),
-            train=TrainConfig(**train_sec),
-            hidden_width=int(model_sec.get("hidden_width", 128)),
-            embed_width=int(model_sec.get("embed_width", 32)),
-            activation=model_sec.get("activation", "silu"),
-            freq_base=float(model_sec.get("freq_base", 1000.0)),
-            sweep=tuple(_parse_point(p) for p in raw.get("sweep", [])),
-            samples_per_point=int(raw.get("samples_per_point", 1000)),
-            kl_samples=int(raw.get("kl_samples", 1000)),
-            shift=shift,
-            seed=int(raw.get("seed", 0)),
-            out_dir=raw.get("out_dir", "out"),
-        )
+        kwargs["reward"] = _parse_reward(kwargs.get("reward", {"kind": "gaussian", "mu": [14.0, 3.0]}))
+        kwargs["train"] = TrainConfig(**_fields(kwargs.get("train", {}), TrainConfig, "train"))
+        kwargs["sweep"] = tuple(_parse_point(p, f"sweep[{i}]") for i, p in enumerate(kwargs.get("sweep", ())))
+        if "shift_study" in kwargs:
+            study = _fields(kwargs.pop("shift_study"), ShiftStudyConfig, "shift_study")
+            cells = enumerate(study["cells"])
+            study["cells"] = tuple(_parse_point(c, f"shift_study.cells[{i}]") for i, c in cells)
+            kwargs["shift"] = ShiftStudyConfig(**study)
+        return ExperimentConfig(**kwargs)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -263,19 +276,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def apply_profile(cfg: ExperimentConfig, profile: str) -> ExperimentConfig:
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}, expected one of {sorted(PROFILES)}")
-    over = PROFILES[profile]
-    if not over:
-        return cfg
-    train = replace(cfg.train, epochs=over.get("epochs", cfg.train.epochs))
-    return replace(
-        cfg,
-        T=over.get("T", cfg.T),
-        beta_start=over.get("beta_start", cfg.beta_start),
-        beta_end=over.get("beta_end", cfg.beta_end),
-        train=train,
-        samples_per_point=over.get("samples_per_point", cfg.samples_per_point),
-        kl_samples=over.get("kl_samples", cfg.kl_samples),
-    )
+    over = dict(PROFILES[profile])
+    train = replace(cfg.train, epochs=over.pop("epochs", cfg.train.epochs))
+    return replace(cfg, train=train, **over)
 
 
 def load_config(path, profile: str | None = None, seed: int | None = None, out_dir: str | None = None) -> ExperimentConfig:

@@ -121,14 +121,18 @@ def _draw_refs(spec: RewardSpec, run_seeds: np.ndarray) -> np.ndarray:
     return spec._mu + spec.sigma * z
 
 
-def _guided_batch(
+def guided_batch(
     model,
     sched: NoiseSchedule,
     spec: RewardSpec,
     point: GuidancePoint,
+    block: int,
     row_seed: int,
     count: int,
 ) -> tuple[np.ndarray, RunCounters]:
+    """``count`` runs of ``point`` from the row seed ``row_seed`` and their
+    compute counters; ``block`` is the point's block resolved for ``sched``
+    (``GuidancePoint.resolved_block``)."""
     if point.method == "base":
         counters = RunCounters()
         out = base_sample(model, sched, count, row_seed, counters)
@@ -143,7 +147,6 @@ def _guided_batch(
             )
         return out, counters
     run_seeds = _run_seeds(row_seed, count)
-    block = point.resolved_block(sched.T)
     x_refs = None
     if point.method == "blockwise_ref" and point.eta < 1.0:
         x_refs = (
@@ -178,6 +181,7 @@ def run_sweep(
     ``STATE_BOUND`` (see ``_check_batch``), instead of writing a row of NaN
     metrics.
     """
+    blocks = [point.resolved_block(sched.T, f"sweep[{i}]") for i, point in enumerate(points)]
     base_n = max(samples_per_point, kl_samples)
     base = base_sample(model, sched, base_n, streams.derive_seed(seed, _TAG_BASE_BATCH))
     base_pair = base[:samples_per_point]
@@ -185,15 +189,15 @@ def run_sweep(
     base_mean_reward = expected_reward(base, spec)
 
     rows = []
-    for i, point in enumerate(points):
+    for i, (point, block) in enumerate(zip(points, blocks)):
         row_seed = point.seed if point.seed is not None else streams.derive_seed(seed, _TAG_SWEEP_ROW, i)
         t0 = time.perf_counter()
-        guided, counters = _guided_batch(model, sched, spec, point, row_seed, samples_per_point)
+        guided, counters = guided_batch(model, sched, spec, point, block, row_seed, samples_per_point)
         wall = (time.perf_counter() - t0) * 1e3
         kl_n = min(kl_samples, samples_per_point)
         guided_kl_fit = _check_batch(point, guided, kl_n)
         vx, vy = batch_variance(guided)
-        block = point.resolved_block(sched.T)
+        reward = expected_reward(guided, spec)
         rows.append(
             MetricsRow(
                 method=point.method,
@@ -202,8 +206,8 @@ def run_sweep(
                 eta=point.eta,
                 scale=point.scale,
                 seed=row_seed,
-                expected_reward=expected_reward(guided, spec),
-                normalized_reward=expected_reward(guided, spec) / base_mean_reward,
+                expected_reward=reward,
+                normalized_reward=reward / base_mean_reward,
                 win_rate=win_rate(guided, base_pair, spec),
                 kl_fit=gaussian_kl(guided_kl_fit, base_kl_fit),
                 kl_bound=kl_upper_bound(point.method, point.n_streams, block, sched.T, point.eta),
@@ -261,12 +265,13 @@ def run_shift_study(
     Raises ``GuidanceDivergedError`` for a cell whose batch left
     ``STATE_BOUND`` (see ``_check_batch``).
     """
+    blocks = [cell.resolved_block(sched.T, f"shift_study.cells[{i}]") for i, cell in enumerate(study.cells)]
     rows = []
     for di, d in enumerate(study.displacements):
         local = shifted_reward(spec, prior, d)
-        for ci, cell in enumerate(study.cells):
+        for ci, (cell, block) in enumerate(zip(study.cells, blocks)):
             row_seed = streams.derive_seed(seed, _TAG_SHIFT, di, ci)
-            guided, _ = _guided_batch(model, sched, local, cell, row_seed, study.runs_per_cell)
+            guided, _ = guided_batch(model, sched, local, cell, block, row_seed, study.runs_per_cell)
             _check_batch(cell, guided)
             vx, vy = batch_variance(guided)
             rows.append(
@@ -274,7 +279,7 @@ def run_shift_study(
                     displacement=float(d),
                     method=cell.method,
                     n=cell.n_streams,
-                    b=cell.resolved_block(sched.T),
+                    b=block,
                     eta=cell.eta,
                     runs=study.runs_per_cell,
                     mean_reward=expected_reward(guided, local),

@@ -22,7 +22,7 @@ from functools import lru_cache, singledispatch
 
 import numpy as np
 
-from .schedule import NoiseSchedule, _check_t, forward_noising
+from .schedule import NoiseSchedule, _check_t, forward_noising, schedule_from_beta
 
 CHECKPOINT_FORMAT = "diffguide-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -41,7 +41,9 @@ class CheckpointVersionError(CheckpointError):
 
 
 class CheckpointShapeError(CheckpointError):
-    """A parameter array does not match the declared dimensions."""
+    """The model or schedule the file describes is refused by its
+    constructor: a parameter of the wrong shape (naming the layer), a
+    setting out of range, a non-finite parameter or a beta outside (0, 1)."""
 
 
 ACTIVATIONS = ("silu", "identity")
@@ -104,9 +106,30 @@ class EpsModel:
     in_scale: float = 1.0
 
     def __post_init__(self):
+        """Refuses (``ValueError``) an unknown activation, an odd or small
+        ``embed_width``, a wrong shape, a non-finite parameter, and an
+        ``in_scale`` or ``freq_base`` that is not positive and finite."""
         if self.in_shift is None:
             self.in_shift = np.zeros(2)
         self.in_shift = np.asarray(self.in_shift, dtype=np.float64)
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if self.embed_width < 2 or self.embed_width % 2 != 0:
+            raise ValueError(f"embed_width must be even and >= 2, got {self.embed_width}")
+        width = self.hidden_width if self.w1.ndim == 2 else 0
+        if width < 1:
+            raise ValueError(f"w1 must be a matrix with hidden_width >= 1 columns, got shape {self.w1.shape}")
+        shapes = {"w1": (2 + self.embed_width, width), "b1": (width,), "w2": (width, width),
+                  "b2": (width,), "w3": (width, 2), "b3": (2,), "in_shift": (2,)}
+        for name, shape in shapes.items():
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} holds a non-finite value")
+        for name in ("in_scale", "freq_base"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
     @property
     def hidden_width(self) -> int:
@@ -151,13 +174,8 @@ def init_model(
     reproducible for a fixed seed.
     """
     if hidden_width < 1:
+        # before drawing: w3's bound is 1 / sqrt(hidden_width)
         raise ValueError(f"hidden_width must be >= 1, got {hidden_width}")
-    if embed_width < 2 or embed_width % 2 != 0:
-        raise ValueError(f"embed_width must be even and >= 2, got {embed_width}")
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    if in_scale <= 0:
-        raise ValueError(f"in_scale must be positive, got {in_scale}")
     rng = np.random.default_rng(seed)
     dims = [(2 + embed_width, hidden_width), (hidden_width, hidden_width), (hidden_width, 2)]
     arrays = []
@@ -513,54 +531,19 @@ def load_checkpoint(path) -> tuple[EpsModel, NoiseSchedule]:
     try:
         m = payload["model"]
         s = payload["schedule"]
-        hidden = int(m["hidden_width"])
-        embed = int(m["embed_width"])
-        activation = m["activation"]
-        freq_base = float(m["freq_base"])
-        in_shift = np.asarray(m["in_shift"], dtype=np.float64)
-        in_scale = float(m["in_scale"])
-        raw = {name: np.asarray(m[name], dtype=np.float64) for name in PARAM_NAMES}
+        raw = {name: np.asarray(m[name], dtype=np.float64) for name in (*PARAM_NAMES, "in_shift")}
+        settings = dict(activation=m["activation"], embed_width=int(m["embed_width"]),
+                        freq_base=float(m["freq_base"]), in_scale=float(m["in_scale"]))
         T = int(s["T"])
-        beta_body = np.asarray(s["beta"], dtype=np.float64)
+        beta = np.asarray(s["beta"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: malformed checkpoint ({exc})") from exc
-    if activation not in ACTIVATIONS:
-        raise CheckpointFormatError(f"{path}: unknown activation {activation!r}")
-    expected = {
-        "w1": (2 + embed, hidden),
-        "b1": (hidden,),
-        "w2": (hidden, hidden),
-        "b2": (hidden,),
-        "w3": (hidden, 2),
-        "b3": (2,),
-    }
-    for name, shape in expected.items():
-        if raw[name].shape != shape:
-            raise CheckpointShapeError(
-                f"{path}: layer {name!r} has shape {raw[name].shape}, expected {shape}"
-            )
-    if beta_body.shape != (T,):
-        raise CheckpointShapeError(
-            f"{path}: schedule beta has shape {beta_body.shape}, expected ({T},)"
-        )
-    if in_shift.shape != (2,):
-        raise CheckpointShapeError(
-            f"{path}: in_shift has shape {in_shift.shape}, expected (2,)"
-        )
-    model = EpsModel(
-        **raw,
-        activation=activation,
-        embed_width=embed,
-        freq_base=freq_base,
-        in_shift=in_shift,
-        in_scale=in_scale,
-    )
-    beta = np.concatenate([[0.0], beta_body])
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    for arr in (beta, alpha, alpha_bar):
-        arr.flags.writeable = False
-    return model, NoiseSchedule(beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+    if beta.shape != (T,):
+        raise CheckpointShapeError(f"{path}: schedule beta has shape {beta.shape}, expected ({T},)")
+    try:
+        return EpsModel(**raw, **settings), schedule_from_beta(beta)
+    except ValueError as exc:
+        raise CheckpointShapeError(f"{path}: {exc}") from exc
 
 
 def with_params(model: EpsModel, new_params: dict[str, np.ndarray]) -> EpsModel:

@@ -31,6 +31,23 @@ class NoiseSchedule:
         return self.beta.shape[0] - 1
 
 
+def schedule_from_beta(beta) -> NoiseSchedule:
+    """The schedule with per-step variances ``beta`` for steps 1..T.
+
+    Raises ``ValueError`` for no step or a beta outside (0, 1).
+    """
+    beta = np.concatenate([[0.0], np.asarray(beta, dtype=np.float64)])
+    if beta.size < 2:
+        raise ValueError(f"T must be a positive integer, got {beta.size - 1}")
+    if not np.all((beta[1:] > 0.0) & (beta[1:] < 1.0)):
+        raise ValueError("every beta must lie in (0, 1)")
+    alpha = 1.0 - beta
+    alpha_bar = np.cumprod(alpha)
+    for arr in (beta, alpha, alpha_bar):
+        arr.flags.writeable = False
+    return NoiseSchedule(beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+
+
 def build_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
     """Linearly spaced betas from ``beta_start`` to ``beta_end`` inclusive.
 
@@ -43,15 +60,7 @@ def build_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.
         raise ValueError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
-    T = int(T)
-    beta = np.empty(T + 1, dtype=np.float64)
-    beta[0] = 0.0
-    beta[1:] = np.linspace(beta_start, beta_end, T)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    for arr in (beta, alpha, alpha_bar):
-        arr.flags.writeable = False
-    return NoiseSchedule(beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+    return schedule_from_beta(np.linspace(beta_start, beta_end, int(T)))
 
 
 def _check_t(t, T: int, low: int = 1):

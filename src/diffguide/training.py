@@ -96,9 +96,6 @@ class TrainConfig:
     dataset_size: int = 100_000
     batch_size: int = 1024
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -106,11 +103,13 @@ class TrainConfig:
             raise ValueError("epochs, dataset_size and batch_size must be positive, lr >= 0")
         if self.batch_size > self.dataset_size:
             raise ValueError("batch_size cannot exceed dataset_size")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.adam_eps > 0):
-            raise ValueError("invalid Adam coefficients")
 
 
-def _adam_update(param, m1, m2, g, cfg: TrainConfig, corr1: float, corr2: float) -> None:
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def _adam_update(param, m1, m2, g, lr: float, corr1: float, corr2: float) -> None:
     """One Adam step, in place on ``param``, ``m1`` and ``m2``.
 
     Evaluates ``m1 = b1 m1 + (1 - b1) g``, ``m2 = b2 m2 + (1 - b2) g g`` and
@@ -118,18 +117,18 @@ def _adam_update(param, m1, m2, g, cfg: TrainConfig, corr1: float, corr2: float)
     operation in that order, with two temporaries instead of one per
     operation.
     """
-    tmp = np.multiply(g, 1.0 - cfg.beta1)
-    m1 *= cfg.beta1
+    tmp = np.multiply(g, 1.0 - BETA1)
+    m1 *= BETA1
     m1 += tmp
-    np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+    np.multiply(g, 1.0 - BETA2, out=tmp)
     tmp *= g
-    m2 *= cfg.beta2
+    m2 *= BETA2
     m2 += tmp
     denom = np.divide(m2, corr2)
     np.sqrt(denom, out=denom)
-    denom += cfg.adam_eps
+    denom += ADAM_EPS
     np.divide(m1, corr1, out=tmp)
-    tmp *= cfg.lr
+    tmp *= lr
     tmp /= denom
     param -= tmp
 
@@ -176,10 +175,10 @@ def train(
                     f"loss became {bundle.loss} at epoch {epoch}, step {step}"
                 )
             step += 1
-            corr1 = 1.0 - cfg.beta1**step
-            corr2 = 1.0 - cfg.beta2**step
+            corr1 = 1.0 - BETA1**step
+            corr2 = 1.0 - BETA2**step
             for name, g in bundle.params():
-                _adam_update(params[name], m1[name], m2[name], g, cfg, corr1, corr2)
+                _adam_update(params[name], m1[name], m2[name], g, cfg.lr, corr1, corr2)
             epoch_loss += bundle.loss
             n_batches += 1
         losses[epoch] = epoch_loss / n_batches

@@ -1,5 +1,6 @@
 """Noise-predictor forward pass, exact gradients, checkpoint round trips."""
 
+import re
 import sys
 import threading
 import warnings
@@ -636,6 +637,40 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointShapeError, match="w2"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m, s: m.update(in_scale=0), "in_scale must be positive and finite, got 0.0"),
+            (lambda m, s: m.update(in_scale=-1), "in_scale must be positive and finite, got -1.0"),
+            (lambda m, s: m.update(embed_width=1, w1=m["w1"][:-1]), "embed_width must be even and >= 2, got 1"),
+            (lambda m, s: m.update(freq_base=0), "freq_base must be positive and finite, got 0.0"),
+            (lambda m, s: m.update(freq_base=-5), "freq_base must be positive and finite, got -5.0"),
+            (lambda m, s: m["w2"][1].__setitem__(0, float("nan")), "w2 holds a non-finite value"),
+            (lambda m, s: m["in_shift"].__setitem__(0, float("inf")), "in_shift holds a non-finite value"),
+            (lambda m, s: s["beta"].__setitem__(-1, 1.0), "every beta must lie in (0, 1)"),
+            (lambda m, s: s.update(T=0, beta=[]), "T must be a positive integer, got 0"),
+        ],
+    )
+    def test_constructor_refusals_name_the_file(self, tmp_path, capsys, edit, message):
+        """Loading refuses what ``init_model`` and ``build_linear_schedule``
+        refuse, plus non-finite parameters; ``sample`` exits 2 on it."""
+        import json
+
+        from diffguide.cli import main
+        from diffguide.model import CheckpointError
+
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_model(4, 2, seed=0), build_linear_schedule(5), path)
+        payload = json.loads(path.read_text())
+        edit(payload["model"], payload["schedule"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+            load_checkpoint(path)
+        out = tmp_path / "samples.csv"
+        assert main(["sample", "--checkpoint", str(path), "--n", "3", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -145,8 +145,6 @@ class TestTrain:
             TrainConfig(dataset_size=10, batch_size=20)
         with pytest.raises(ValueError):
             TrainConfig(lr=-1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(beta1=1.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
