@@ -22,7 +22,7 @@ from diffguide.analytic import MixtureEps
 
 prior = paper_prior()
 sched = build_linear_schedule(1000)
-model = MixtureEps(weights=prior._weights, means=prior._means, sigma=prior.sigma)
+model = MixtureEps(prior)
 
 n = 20_000
 xs = base_sample(model, sched, n, seed=5)

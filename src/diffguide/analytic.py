@@ -15,17 +15,18 @@ trained MLP, which makes exact oracle comparisons possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import input_grad, predict_eps
 from .schedule import NoiseSchedule, _check_t, _coef
+from .training import GmmSpec
 
 
 @dataclass(frozen=True)
 class MixtureEps:
-    """Exact noise predictor for an isotropic Gaussian-mixture prior.
+    """Exact noise predictor for the isotropic Gaussian-mixture ``prior``.
 
     The noised marginal stays a mixture, so the ideal prediction is the
     responsibility-weighted version of the single-component formula:
@@ -40,42 +41,28 @@ class MixtureEps:
     ``(c / v) (cot - (ab / v) Cov_w(mu) cot)``.
     """
 
-    weights: np.ndarray
-    means: np.ndarray
-    sigma: float
-    _weights: np.ndarray = field(init=False, repr=False)
-    _means: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        m = np.asarray(self.means, dtype=np.float64)
-        if w.ndim != 1 or m.shape != (w.size, 2):
-            raise ValueError("weights must be (k,) and means (k, 2)")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        object.__setattr__(self, "_weights", w)
-        object.__setattr__(self, "_means", m)
+    prior: GmmSpec
 
 
-def _posterior(model: MixtureEps, x, t, sched: NoiseSchedule):
+def _posterior(prior: GmmSpec, x, t, sched: NoiseSchedule):
     """``(ab, v, resp, m)``: the step's ``alpha_bar``, the component
     variance ``v`` at that step, each point's component responsibilities
     ``(..., k)`` and their average of the means ``(..., 2)``."""
     t = _check_t(t, sched.T)
     ab = np.asarray(_coef(sched.alpha_bar, t))
-    var = ab * model.sigma**2 + 1.0 - ab
-    centered = x[..., None, :] - np.sqrt(ab)[..., None] * model._means
-    logits = -np.sum(centered * centered, axis=-1) / (2.0 * var) + np.log(model._weights)
+    var = ab * prior.sigma**2 + 1.0 - ab
+    centered = x[..., None, :] - np.sqrt(ab)[..., None] * prior.means
+    logits = -np.sum(centered * centered, axis=-1) / (2.0 * var) + np.log(prior.weights)
     logits -= logits.max(axis=-1, keepdims=True)
     resp = np.exp(logits)
     resp /= resp.sum(axis=-1, keepdims=True)
-    return ab, var, resp, resp @ model._means
+    return ab, var, resp, resp @ prior.means
 
 
 @predict_eps.register
 def _(model: MixtureEps, x, t, sched: NoiseSchedule):
     x = np.asarray(x, dtype=np.float64)
-    ab, var, _, post_mean = _posterior(model, x, t, sched)
+    ab, var, _, post_mean = _posterior(model.prior, x, t, sched)
     return np.sqrt(1.0 - ab) * (x - np.sqrt(ab) * post_mean) / var
 
 
@@ -83,8 +70,8 @@ def _(model: MixtureEps, x, t, sched: NoiseSchedule):
 def _(model: MixtureEps, x, t, sched: NoiseSchedule, cotangent):
     x = np.asarray(x, dtype=np.float64)
     cot = np.asarray(cotangent, dtype=np.float64)
-    ab, var, resp, post_mean = _posterior(model, x, t, sched)
-    spread = model._means - post_mean[..., None, :]  # (..., k, 2)
+    ab, var, resp, post_mean = _posterior(model.prior, x, t, sched)
+    spread = model.prior.means - post_mean[..., None, :]  # (..., k, 2)
     along = np.sum(spread * cot[..., None, :], axis=-1)  # (..., k)
     cov_cot = np.sum((resp * along)[..., None] * spread, axis=-2)
     return np.sqrt(1.0 - ab) / var * (cot - ab / var * cov_cot)
@@ -93,7 +80,4 @@ def _(model: MixtureEps, x, t, sched: NoiseSchedule, cotangent):
 def IsotropicGaussianEps(mean, sigma: float) -> MixtureEps:
     """Exact predictor for the prior ``N(mean, sigma^2 I)``: the mixture
     predictor with one component."""
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.shape != (2,):
-        raise ValueError("mean must be a 2-vector")
-    return MixtureEps(weights=[1.0], means=[mean], sigma=sigma)
+    return MixtureEps(GmmSpec([1.0], [mean], sigma))

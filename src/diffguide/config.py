@@ -3,7 +3,8 @@
 A config file is a single JSON document with nested sections (see
 ``example_config`` for the full shape).  One rule, ``_fields``, checks each
 section against the dataclass it builds: ``ExperimentConfig`` (the top
-level, ``schedule`` and ``model``), ``TrainConfig`` (``train``),
+level, ``schedule`` and ``model``), ``GmmSpec`` (``prior``), the reward
+its ``kind`` names (``reward``), ``TrainConfig`` (``train``),
 ``ShiftStudyConfig`` (``shift_study``) or ``GuidancePoint`` (each sweep
 point and shift cell).  It refuses unknown keys and values of the wrong
 type, an absent key keeps the field's default, and the dataclass then
@@ -14,11 +15,10 @@ counts for fast smoke runs; ``full`` is the study-scale default.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields, replace
 
 from .metrics import BOUNDED_METHODS
-from .rewards import GaussianReward, QuantizedReward, RewardSpec
+from .rewards import GaussianReward, QuantizedReward, RewardSpec, float_array, is_number
 from .training import GmmSpec, TrainConfig, paper_prior
 
 METHODS = ("base", "grad") + BOUNDED_METHODS
@@ -174,36 +174,36 @@ class ExperimentConfig:
             cell.check_reward(self.reward, f"shift_study.cells[{i}]")
 
 
-def _known(section: dict, keys, where: str) -> dict:
-    """The section itself, once it holds no key outside ``keys``."""
-    extra = set(section) - set(keys)
-    if extra:
-        raise ConfigError(f"unknown {where} keys: {sorted(extra)}")
-    return section
-
-
 # JSON sections whose keys are fields of ExperimentConfig itself
 _SECTIONS = {
     "schedule": ("T", "beta_start", "beta_end"),
     "model": ("hidden_width", "embed_width", "activation", "freq_base"),
 }
 _KINDS = {"int": "an integer", "float": "a number", "str": "a string"}
+_REWARDS = {"gaussian": GaussianReward, "quantized": QuantizedReward}
 
 
 def _value(value, kind: str, where: str):
     """``value`` checked against its field's declared type ``kind``, or a
     ``ConfigError`` naming ``where``.  An ``int`` takes an integral number,
-    a ``float`` any finite number, a ``str`` a string and a tuple of floats
-    a list of numbers; a bool is never a number, and ``| None`` also takes
-    null.  A value of any other kind passes as it is."""
+    a ``float`` any finite number (``rewards.is_number``), a ``str`` a
+    string, a tuple of floats a list of numbers and an ``np.ndarray`` nested
+    lists of numbers (``rewards.float_array``); a bool is never a number,
+    and ``| None`` also takes null.  A value of any other kind passes as it
+    is."""
     base = kind.removesuffix(" | None")
     if value is None and base != kind:
         return None
+    if base == "np.ndarray":
+        try:
+            return float_array(value, where)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if base.startswith("tuple[float"):
         return tuple(_value(v, "float", f"an entry of {where}") for v in value)
     if base not in _KINDS:
         return value
-    number = type(value) in (int, float) and math.isfinite(value)
+    number = is_number(value)
     if base == "int" and number and value % 1 == 0:
         return int(value)
     if base == "float" and number:
@@ -221,19 +221,22 @@ def _fields(section, cls, where: str, keys=None) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     kinds = {f.name: f.type for f in fields(cls)}
-    _known(section, kinds if keys is None else keys, where)
+    extra = set(section) - set(kinds if keys is None else keys)
+    if extra:
+        raise ConfigError(f"unknown {where} keys: {sorted(extra)}")
     return {key: _value(value, kinds.get(key, ""), f"{where} key {key!r}") for key, value in section.items()}
 
 
 def _parse_reward(section) -> RewardSpec:
-    kind = section.get("kind", "gaussian")
-    if kind == "gaussian":
-        _known(section, ("kind", "mu", "sigma"), "gaussian reward")
-        return GaussianReward(mu=section["mu"], sigma=float(section.get("sigma", 2.0)))
-    if kind == "quantized":
-        _known(section, ("kind", "mu", "delta"), "quantized reward")
-        return QuantizedReward(mu=section["mu"], delta=float(section.get("delta", 1.0)))
-    raise ConfigError(f"unknown reward kind {kind!r}")
+    """The reward dataclass that the section's ``kind`` names (gaussian by
+    default), built from the section's other keys."""
+    kind = section.get("kind", "gaussian") if isinstance(section, dict) else "gaussian"
+    if kind not in _REWARDS:
+        raise ConfigError(f"unknown reward kind {kind!r}, expected one of {tuple(_REWARDS)}")
+    cls = _REWARDS[kind]
+    kwargs = _fields(section, cls, f"{kind} reward", ["kind", *(f.name for f in fields(cls))])
+    kwargs.pop("kind", None)
+    return cls(**kwargs)
 
 
 def _parse_point(entry, where: str) -> GuidancePoint:
@@ -252,11 +255,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         kwargs = _fields(raw, ExperimentConfig, "top-level", top)
         for name, keys in _SECTIONS.items():
             kwargs.update(_fields(kwargs.pop(name, {}), ExperimentConfig, name, keys))
-        prior = _known(kwargs.get("prior", {}), ("weights", "means", "sigma"), "prior")
         kwargs["prior"] = (
-            GmmSpec(weights=prior["weights"], means=prior["means"], sigma=float(prior.get("sigma", 2.0)))
-            if prior
-            else paper_prior()
+            GmmSpec(**_fields(kwargs["prior"], GmmSpec, "prior")) if "prior" in kwargs else paper_prior()
         )
         kwargs["reward"] = _parse_reward(kwargs.get("reward", {"kind": "gaussian", "mu": [14.0, 3.0]}))
         kwargs["train"] = TrainConfig(**_fields(kwargs.get("train", {}), TrainConfig, "train"))

@@ -14,7 +14,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .metrics import (
     kl_upper_bound,
     win_rate,
 )
-from .rewards import GaussianReward, QuantizedReward, RewardSpec, UnsupportedRewardError
+from .rewards import GaussianReward, RewardSpec, UnsupportedRewardError
 from .samplers import STATE_BOUND, RunCounters, base_sample, blockwise_batch, grad_guided_batch
 from .schedule import NoiseSchedule
 from .training import GmmSpec, mixture_mean
@@ -118,7 +118,7 @@ def _draw_refs(spec: RewardSpec, run_seeds: np.ndarray) -> np.ndarray:
     if not isinstance(spec, GaussianReward):
         raise UnsupportedRewardError(f"{type(spec).__name__} has no distribution to draw references from")
     z = streams.normal_pair(run_seeds, streams.ROLE_REF, 0, 0)
-    return spec._mu + spec.sigma * z
+    return spec.mu + spec.sigma * z
 
 
 def guided_batch(
@@ -242,14 +242,11 @@ _COLUMN_TYPES = {f.name: f.type for row in (MetricsRow, ShiftRow) for f in field
 def shifted_reward(spec: RewardSpec, prior: GmmSpec, displacement: float) -> RewardSpec:
     """Reward recentered ``displacement`` along the centroid-to-reward ray."""
     centroid = mixture_mean(prior)
-    direction = np.asarray(spec._mu, dtype=np.float64) - centroid
+    direction = spec.mu - centroid
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:
         raise ValueError("reward mean coincides with the prior centroid; no ray defined")
-    mu = centroid + displacement * direction / norm
-    if isinstance(spec, GaussianReward):
-        return GaussianReward(mu=mu, sigma=spec.sigma)
-    return QuantizedReward(mu=mu, delta=spec.delta)
+    return replace(spec, mu=centroid + displacement * direction / norm)
 
 
 def run_shift_study(
@@ -308,30 +305,37 @@ def read_csv(path) -> tuple[list[str], list[dict]]:
     """Parse a harness CSV back into header plus per-row dicts.
 
     Each cell is parsed by its column's field type, an empty number
-    (``wall_ms``) as NaN; a column of no harness row stays text.
+    (``wall_ms``) as NaN; a column of no harness row stays text.  An empty
+    file, or a row whose cell count differs from the header's, is refused
+    with a ``ValueError`` that names the line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} line 1: empty file, expected a header")
         kinds = [_COLUMN_TYPES.get(key, "str") for key in header]
-        out = [
-            {
-                key: math.nan if val == "" and kind != "str" else _PARSE[kind](val)
-                for key, kind, val in zip(header, kinds, values)
-            }
-            for values in reader
-        ]
+        out = []
+        for values in reader:
+            if len(values) != len(header):
+                raise ValueError(
+                    f"{path} line {reader.line_num}: {len(values)} cells, the header has {len(header)}"
+                )
+            out.append(
+                {
+                    key: math.nan if val == "" and kind != "str" else _PARSE[kind](val)
+                    for key, kind, val in zip(header, kinds, values)
+                }
+            )
     return header, out
 
 
 def summary_payload(cfg: ExperimentConfig, rows: list[MetricsRow]) -> dict:
-    from dataclasses import asdict
-
     def clean(value):
         if isinstance(value, np.ndarray):
             return value.tolist()
         if isinstance(value, dict):
-            return {k: clean(v) for k, v in value.items() if not k.startswith("_")}
+            return {k: clean(v) for k, v in value.items()}
         if isinstance(value, (list, tuple)):
             return [clean(v) for v in value]
         return value

@@ -15,8 +15,7 @@ MIN_EIG = 1e-10
 # the rounding error of a widely spread batch's covariance
 RELATIVE_RIDGE = 1e-12
 
-# selection-based samplers admit an analytic divergence bound; these tags
-# identify which scaling applies
+# the selection-based samplers, which admit an analytic divergence bound
 BOUNDED_METHODS = ("best_of_n", "blockwise", "blockwise_ref", "stepwise")
 
 
@@ -76,11 +75,12 @@ def kl_upper_bound(method: str, n: int, block_size: int, T: int, eta: float = 1.
     """Analytic upper bound on the divergence of a guided sampler from base.
 
     One best-of-n selection costs at most ``log n - (n-1)/n``; a run pays
-    that once per selection it makes.  Over the ``round(eta T)`` denoised
-    steps, blockwise selection makes ``ceil(steps / block)`` selections (a
-    short last block still selects), stepwise one per step, and a single
-    full-rollout selection one.  The base chain costs nothing and gradient
-    guidance has no such bound (returns nan).
+    that once per selection it makes, ``ceil(round(eta T) / block_size)``
+    over its denoised steps (a short last block still selects).
+    ``block_size`` is the resolved block (``GuidancePoint.resolved_block``):
+    T for best-of-n, whose one full-rollout selection this counts, and 1 for
+    stepwise, which selects at every step.  The base chain costs nothing and
+    gradient guidance has no such bound (returns nan).
     """
     if method == "base":
         return 0.0
@@ -89,12 +89,7 @@ def kl_upper_bound(method: str, n: int, block_size: int, T: int, eta: float = 1.
     if method not in BOUNDED_METHODS:
         raise ValueError(f"unknown method tag {method!r}")
     # an integer count of selections, so the product with the gap rounds once
-    if method == "best_of_n":
-        selections = 1
-    else:
-        steps = round(eta * T)
-        selections = steps if method == "stepwise" else math.ceil(steps / block_size)
-    return selection_gap(n) * selections
+    return selection_gap(n) * math.ceil(round(eta * T) / block_size)
 
 
 def expected_reward(samples, spec: RewardSpec) -> float:

@@ -9,7 +9,8 @@ endpoint, so no separate value model is ever trained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +22,28 @@ class UnsupportedRewardError(ValueError):
     """Raised when an operation needs a reward variant it cannot handle."""
 
 
-def _check_mu(mu) -> np.ndarray:
-    arr = np.asarray(mu, dtype=np.float64)
+def is_number(value) -> bool:
+    """Whether ``value`` is a finite int or float (numpy's included): a bool
+    or a string is never a number, nor an int beyond the float range."""
+    numeric = type(value) in (int, float) or isinstance(value, (np.integer, np.floating))
+    return numeric and abs(value) <= sys.float_info.max
+
+
+def float_array(value, name: str) -> np.ndarray:
+    """``value`` as a read-only float64 array once every entry passes
+    ``is_number``; otherwise a ``ValueError`` naming ``name``."""
+    entries = np.asarray(value, dtype=object)
+    if not all(is_number(v) for v in entries.flat):
+        raise ValueError(f"{name} must be an array of finite numbers, got {value!r}")
+    arr = entries.astype(np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+def _center(mu) -> np.ndarray:
+    arr = float_array(mu, "mu")
     if arr.shape != (2,):
         raise ValueError(f"reward center must be a 2-vector, got shape {arr.shape}")
-    arr.flags.writeable = False
     return arr
 
 
@@ -34,13 +52,12 @@ class GaussianReward:
     """Reward = density of x under an isotropic Gaussian N(mu, sigma^2 I)."""
 
     mu: np.ndarray
-    sigma: float
-    _mu: np.ndarray = field(init=False, repr=False)
+    sigma: float = 2.0
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        object.__setattr__(self, "_mu", _check_mu(self.mu))
+        object.__setattr__(self, "mu", _center(self.mu))
 
 
 @dataclass(frozen=True)
@@ -49,19 +66,18 @@ class QuantizedReward:
 
     mu: np.ndarray
     delta: float = 1.0
-    _mu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        object.__setattr__(self, "_mu", _check_mu(self.mu))
+        object.__setattr__(self, "mu", _center(self.mu))
 
 
 RewardSpec = GaussianReward | QuantizedReward
 
 
 def _sqdist(spec, x) -> np.ndarray:
-    d = np.asarray(x, dtype=np.float64) - spec._mu
+    d = np.asarray(x, dtype=np.float64) - spec.mu
     return np.sum(d * d, axis=-1)
 
 
@@ -95,7 +111,7 @@ def reward_grad(spec: RewardSpec, x):
         raise UnsupportedRewardError(
             f"reward_grad needs a differentiable reward, got {type(spec).__name__}"
         )
-    return (spec._mu - np.asarray(x, dtype=np.float64)) / spec.sigma**2
+    return (spec.mu - np.asarray(x, dtype=np.float64)) / spec.sigma**2
 
 
 def estimate_value(model, sched: NoiseSchedule, spec: RewardSpec, x_t, t):

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import EpsModel, loss_and_param_grads, with_params
+from .rewards import float_array
 from .schedule import NoiseSchedule
 
 
@@ -20,13 +21,11 @@ class GmmSpec:
 
     weights: np.ndarray
     means: np.ndarray
-    sigma: float
-    _weights: np.ndarray = field(init=False, repr=False)
-    _means: np.ndarray = field(init=False, repr=False)
+    sigma: float = 2.0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        m = np.asarray(self.means, dtype=np.float64)
+        w = float_array(self.weights, "weights")
+        m = float_array(self.means, "means")
         if w.ndim != 1 or w.size < 1:
             raise ValueError("need at least one mixture component")
         if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
@@ -35,10 +34,8 @@ class GmmSpec:
             raise ValueError(f"means must have shape ({w.size}, 2), got {m.shape}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        w.flags.writeable = False
-        m.flags.writeable = False
-        object.__setattr__(self, "_weights", w)
-        object.__setattr__(self, "_means", m)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "means", m)
 
 
 def paper_prior() -> GmmSpec:
@@ -51,12 +48,12 @@ def paper_prior() -> GmmSpec:
 
 
 def mixture_mean(spec: GmmSpec) -> np.ndarray:
-    return spec._weights @ spec._means
+    return spec.weights @ spec.means
 
 
 def mixture_cov(spec: GmmSpec) -> np.ndarray:
-    centered = spec._means - mixture_mean(spec)
-    between = (spec._weights[:, None] * centered).T @ centered
+    centered = spec.means - mixture_mean(spec)
+    between = (spec.weights[:, None] * centered).T @ centered
     return spec.sigma**2 * np.eye(2) + between
 
 
@@ -64,9 +61,13 @@ def sample_gmm(spec: GmmSpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. mixture draws, deterministic for a fixed seed."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    comps = rng.choice(spec._weights.size, size=n, p=spec._weights)
-    return spec._means[comps] + spec.sigma * rng.standard_normal((n, 2))
+    return _draw(spec, n, np.random.default_rng(seed))
+
+
+def _draw(spec: GmmSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` mixture draws from ``rng``: the components, then their noise."""
+    comps = rng.choice(spec.weights.size, size=n, p=spec.weights)
+    return spec.means[comps] + spec.sigma * rng.standard_normal((n, 2))
 
 
 def pooled_input_stats(spec: GmmSpec, sched: NoiseSchedule) -> tuple[np.ndarray, float]:
@@ -144,9 +145,7 @@ def train(
     generator, so identical seeds give identical final parameters.
     """
     rng = np.random.default_rng(cfg.seed)
-    dataset = spec._means[
-        rng.choice(spec._weights.size, size=cfg.dataset_size, p=spec._weights)
-    ] + spec.sigma * rng.standard_normal((cfg.dataset_size, 2))
+    dataset = _draw(spec, cfg.dataset_size, rng)
 
     params = {name: arr.copy() for name, arr in model.params()}
     m1 = {name: np.zeros_like(arr) for name, arr in params.items()}

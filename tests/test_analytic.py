@@ -8,7 +8,7 @@ from diffguide.analytic import MixtureEps
 
 SCHED = build_linear_schedule(1000)
 PRIOR = paper_prior()
-MODEL = MixtureEps(weights=PRIOR._weights, means=PRIOR._means, sigma=PRIOR.sigma)
+MODEL = MixtureEps(PRIOR)
 
 
 @pytest.mark.parametrize("t", [1, 300, 1000])

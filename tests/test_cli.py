@@ -223,6 +223,26 @@ class TestPlotCommand:
         err = capsys.readouterr().err
         assert "normalized_reward" in err or "WRONG" in err
 
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (None, "line 1: empty file, expected a header"),
+            (14, "line 3: 14 cells, the header has 16"),
+        ],
+    )
+    def test_malformed_csv_names_the_line(self, tmp_path, capsys, cut, message):
+        """An empty file, or a row with fewer cells than the header (here
+        the second data row), exits 2 with a message naming the line."""
+        lines = (Path(__file__).parent / "data" / "sweep_fixture.csv").read_text().splitlines()[:4]
+        bad = tmp_path / "metrics.csv"
+        if cut is None:
+            bad.write_text("")
+        else:
+            lines[2] = ",".join(lines[2].split(",")[:cut])
+            bad.write_text("\n".join(lines) + "\n")
+        assert main(["plot", str(bad), "--out", str(tmp_path / "figs")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_csv(self, tmp_path):
         assert main(["plot", str(tmp_path / "none.csv"), "--out", str(tmp_path)]) == 2
 

@@ -311,10 +311,31 @@ class TestMistypedValues:
             ("sweep", "sweep", "x_ref", [1, "2"], "sweep[1]: an entry of sweep point key 'x_ref' must be a number"),
             ("shift-study", "cells", "n_streams", 2.5,
              "shift_study.cells[0]: sweep point key 'n_streams' must be an integer, got 2.5"),
+            # the reward and prior sections of a config that once loaded with
+            # strings and a bool in place of numbers
+            ("train", None, "reward", {"kind": "gaussian", "mu": ["14", "3"], "sigma": "2"},
+             "gaussian reward key 'mu' must be an array of finite numbers, got ['14', '3']"),
+            ("train", None, "prior", {"weights": ["0.5", "0.5"], "means": [[0, 0], ["4", 4]], "sigma": True},
+             "prior key 'weights' must be an array of finite numbers, got ['0.5', '0.5']"),
+            ("train", "reward", "sigma", True, "gaussian reward key 'sigma' must be a number, got True"),
+            ("train", "prior", "sigma", True, "prior key 'sigma' must be a number, got True"),
+            ("train", None, "reward", {"kind": "quantized", "mu": [14, True]},
+             "quantized reward key 'mu' must be an array of finite numbers, got [14, True]"),
+            ("train", None, "reward", {"kind": "quantized", "mu": [14, 3], "delta": "1"},
+             "quantized reward key 'delta' must be a number, got '1'"),
+            ("train", "prior", "means", [[0, 0], ["4", 4]],
+             "prior key 'means' must be an array of finite numbers, got [[0, 0], ['4', 4]]"),
+            # an integer beyond the float range is no finite number
+            pytest.param("train", "schedule", "beta_end", 10**400,
+                         "schedule key 'beta_end' must be a number, got 1000", id="train-schedule-beta_end-10**400"),
+            pytest.param("train", "prior", "means", [[0, 0], [4, 10**400]],
+                         "prior key 'means' must be an array of finite numbers, got [[0, 0], [4, 1000",
+                         id="train-prior-means-10**400"),
         ],
     )
     def test_is_refused(self, tmp_path, checkpoint, capsys, command, section, key, value, message):
         cfg = base_config(tmp_path)
+        cfg["prior"] = {"weights": [0.5, 0.5], "means": [[0, 0], [4, 4]], "sigma": 1.0}
         cfg["sweep"] = [{"method": "base"}, {"method": "blockwise_ref", "n_streams": 2, "block_size": 5}]
         cfg["shift_study"] = {
             "displacements": [0.0, 2.0],

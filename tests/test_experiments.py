@@ -1,5 +1,6 @@
 """Sweep and shift-study harnesses: schemas, determinism, accounting."""
 
+import json
 import math
 from dataclasses import fields
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from diffguide import build_linear_schedule, fit_gaussian, gaussian_kl, init_model, kl_upper_bound
-from diffguide.config import GuidancePoint, ShiftStudyConfig
+from diffguide.config import GuidancePoint, ShiftStudyConfig, config_from_dict
 from diffguide.experiments import (
     SHIFT_COLUMNS,
     SWEEP_COLUMNS,
@@ -19,6 +20,7 @@ from diffguide.experiments import (
     run_shift_study,
     run_sweep,
     shifted_reward,
+    summary_payload,
     write_csv,
     read_csv,
 )
@@ -163,10 +165,10 @@ class TestShiftStudy:
         prior = paper_prior()
         spec = GaussianReward(mu=[14.0, 3.0], sigma=2.0)
         at0 = shifted_reward(spec, prior, 0.0)
-        np.testing.assert_allclose(at0._mu, [5.0, 17.0 / 3.0], atol=1e-12)
+        np.testing.assert_allclose(at0.mu, [5.0, 17.0 / 3.0], atol=1e-12)
         far = shifted_reward(spec, prior, 9.3868)
         # displacement ~ |mu_r - centroid| lands back on the configured mean
-        np.testing.assert_allclose(far._mu, [14.0, 3.0], atol=1e-3)
+        np.testing.assert_allclose(far.mu, [14.0, 3.0], atol=1e-3)
 
     def test_rows_cover_grid(self):
         study = ShiftStudyConfig(
@@ -342,3 +344,15 @@ class TestCsvIo:
                     assert math.isnan(got)
                 else:
                     assert got == want
+
+
+def test_summary_echoes_the_checked_numbers():
+    """``summary.json`` echoes the reward and prior as the float arrays their
+    dataclasses hold, so an integer ``mu`` entry echoes as a float."""
+    prior = {"weights": [0.5, 0.5], "means": [[0, 0], [4, 4]], "sigma": 1}
+    cfg = config_from_dict({"reward": {"kind": "gaussian", "mu": [14, 3]}, "prior": prior})
+    echo = json.loads(json.dumps(summary_payload(cfg, [])))["config"]
+    assert echo["reward"] == {"mu": [14.0, 3.0], "sigma": 2.0}
+    assert echo["prior"] == {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [4.0, 4.0]], "sigma": 1.0}
+    numbers = [*echo["reward"]["mu"], *echo["prior"]["weights"], *echo["prior"]["means"][1]]
+    assert all(type(v) is float for v in numbers)

@@ -157,7 +157,7 @@ class TestExpectedReward:
         is 1/(4 pi sigma^2), which is 1/(16 pi) at sigma = 2."""
         spec = GaussianReward(mu=[3.0, -1.0], sigma=2.0)
         rng = np.random.default_rng(42)
-        xs = spec._mu + spec.sigma * rng.standard_normal((1_000_000, 2))
+        xs = spec.mu + spec.sigma * rng.standard_normal((1_000_000, 2))
         got = expected_reward(xs, spec)
         assert got == pytest.approx(1.0 / (16.0 * np.pi), rel=5e-3)
 

@@ -29,8 +29,8 @@ class TestGaussianReward:
         for _ in range(10):
             r = rng.uniform(0, 5)
             a, b = rng.uniform(0, 2 * np.pi, size=2)
-            pa = spec._mu + r * np.array([np.cos(a), np.sin(a)])
-            pb = spec._mu + r * np.array([np.cos(b), np.sin(b)])
+            pa = spec.mu + r * np.array([np.cos(a), np.sin(a)])
+            pb = spec.mu + r * np.array([np.cos(b), np.sin(b)])
             np.testing.assert_allclose(reward(spec, pa), reward(spec, pb), rtol=1e-12)
 
     def test_log_at_mode(self):
@@ -51,6 +51,17 @@ class TestGaussianReward:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             GaussianReward(mu=[0.0, 0.0], sigma=0.0)
+
+    @pytest.mark.parametrize("mu", [["14", "3"], [14.0, True], [14.0, float("nan")], [14.0, None], [10**400, 3]])
+    def test_rejects_an_entry_that_is_no_finite_number(self, mu):
+        with pytest.raises(ValueError, match="mu must be an array of finite numbers"):
+            GaussianReward(mu=mu, sigma=2.0)
+
+    def test_stores_a_read_only_float_array(self):
+        spec = GaussianReward(mu=[14, 3])
+        assert spec.mu.dtype == np.float64 and not spec.mu.flags.writeable
+        np.testing.assert_array_equal(spec.mu, [14.0, 3.0])
+        assert spec.sigma == 2.0
 
 
 class TestQuantizedReward:

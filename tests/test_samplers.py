@@ -45,7 +45,7 @@ def exact_study_batch(scale):
     prior (T=1000): ``(samples, counters, kl)``, with the Gaussian-fit KL of
     the samples against 200 base runs."""
     prior = paper_prior()
-    model = MixtureEps(weights=prior._weights, means=prior._means, sigma=prior.sigma)
+    model = MixtureEps(prior)
     sched = build_linear_schedule(1000)
     seeds = [streams.derive_seed(41, i) for i in range(200)]
     out, counters = grad_guided_batch(model, sched, REWARD, scale, seeds)
@@ -369,7 +369,7 @@ class TestGradGuidance:
         # analytic value gradient: x0_hat(x) = mean + c1 (x - sqrt(ab) mean)
         c1 = np.sqrt(ab) * s**2 / (ab * s**2 + 1.0 - ab)
         x0_hat = mean + c1 * (x - np.sqrt(ab) * mean)
-        grad_v = c1 * (spec._mu - x0_hat) / spec.sigma**2
+        grad_v = c1 * (spec.mu - x0_hat) / spec.sigma**2
         # tilting N(mu, beta I) by exp(lam g . x) shifts the mean by
         # lam beta g; the epsilon-space correction applies it pre-division
         # by sqrt(alpha_t)
@@ -395,7 +395,7 @@ class TestGradGuidance:
         out, counters, kl = exact_study_batch(scale)
         assert counters.stopped_at is None
         assert np.all(np.abs(out) <= STATE_BOUND)
-        assert np.linalg.norm(out.mean(axis=0) - REWARD._mu) < 3.0
+        assert np.linalg.norm(out.mean(axis=0) - REWARD.mu) < 3.0
         lower = {5.0: 1.0, 50.0: 5.0}.get(scale)
         if lower is not None:
             assert kl > exact_study_batch(lower)[2]

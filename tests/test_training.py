@@ -30,6 +30,26 @@ class TestGmmSpec:
         with pytest.raises(ValueError):
             GmmSpec(weights=[1.0], means=[[0, 0]], sigma=0.0)
 
+    @pytest.mark.parametrize(
+        "weights, means",
+        [
+            ([True, False], [[0, 0], [4, 4]]),
+            (["0.5", "0.5"], [[0, 0], [4, 4]]),
+            ([0.5, 0.5], [[0, 0], ["4", 4]]),
+            ([0.5, 0.5], [[0, 0], [4, float("inf")]]),
+        ],
+    )
+    def test_rejects_an_entry_that_is_no_finite_number(self, weights, means):
+        with pytest.raises(ValueError, match="must be an array of finite numbers"):
+            GmmSpec(weights=weights, means=means, sigma=2.0)
+
+    def test_stores_read_only_float_arrays(self):
+        spec = GmmSpec(weights=[1], means=[[2, -3]])
+        for arr in (spec.weights, spec.means):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+        np.testing.assert_array_equal(spec.means, [[2.0, -3.0]])
+        assert spec.sigma == 2.0
+
     def test_analytic_moments_of_study_prior(self):
         spec = paper_prior()
         np.testing.assert_allclose(mixture_mean(spec), [5.0, 17.0 / 3.0], rtol=1e-14)
