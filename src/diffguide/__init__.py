@@ -15,7 +15,6 @@ from .metrics import (
     fit_gaussian,
     gaussian_kl,
     kl_upper_bound,
-    normalized_expected_reward,
     win_rate,
 )
 from .model import (
@@ -34,7 +33,6 @@ from .rewards import (
     GaussianReward,
     QuantizedReward,
     UnsupportedRewardError,
-    estimate_value,
     log_reward,
     reward,
     reward_grad,
@@ -42,14 +40,9 @@ from .rewards import (
 from .samplers import (
     RunCounters,
     base_sample,
-    best_of_n_sample,
     blockwise_batch,
-    blockwise_ref_sample,
-    blockwise_sample,
     ddpm_step,
     grad_guided_batch,
-    grad_guided_sample,
-    stepwise_sample,
 )
 from .schedule import (
     NoiseSchedule,
@@ -76,20 +69,15 @@ __all__ = [
     "UnsupportedRewardError",
     "base_sample",
     "batch_variance",
-    "best_of_n_sample",
     "blockwise_batch",
-    "blockwise_ref_sample",
-    "blockwise_sample",
     "build_linear_schedule",
     "ddpm_step",
     "eps_and_input_grad",
-    "estimate_value",
     "expected_reward",
     "fit_gaussian",
     "forward_noising",
     "gaussian_kl",
     "grad_guided_batch",
-    "grad_guided_sample",
     "init_model",
     "input_grad",
     "kl_upper_bound",
@@ -98,7 +86,6 @@ __all__ = [
     "loss_and_param_grads",
     "mixture_cov",
     "mixture_mean",
-    "normalized_expected_reward",
     "paper_prior",
     "param_count",
     "posterior_mean",
@@ -107,7 +94,6 @@ __all__ = [
     "reward_grad",
     "sample_gmm",
     "save_checkpoint",
-    "stepwise_sample",
     "train",
     "tweedie_x0",
     "win_rate",

@@ -52,7 +52,10 @@ def _posterior(prior: GmmSpec, x, t, sched: NoiseSchedule):
     ab = np.asarray(_coef(sched.alpha_bar, t))
     var = ab * prior.sigma**2 + 1.0 - ab
     centered = x[..., None, :] - np.sqrt(ab)[..., None] * prior.means
-    logits = -np.sum(centered * centered, axis=-1) / (2.0 * var) + np.log(prior.weights)
+    # a zero weight gives log 0 = -inf, the exact zero responsibility
+    with np.errstate(divide="ignore"):
+        log_w = np.log(prior.weights)
+    logits = -np.sum(centered * centered, axis=-1) / (2.0 * var) + log_w
     logits -= logits.max(axis=-1, keepdims=True)
     resp = np.exp(logits)
     resp /= resp.sum(axis=-1, keepdims=True)

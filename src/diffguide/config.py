@@ -73,8 +73,8 @@ class GuidancePoint:
             raise ConfigError("n_streams must be >= 1")
         if not (0.0 < self.eta <= 1.0):
             raise ConfigError("eta must be in (0, 1]")
-        if self.scale < 0:
-            raise ConfigError("scale must be >= 0")
+        if not (is_number(self.scale) and self.scale >= 0):
+            raise ConfigError(f"scale must be a finite number >= 0, got {self.scale}")
         if self.method in ("blockwise", "blockwise_ref") and (self.block_size is None or self.block_size < 1):
             raise ConfigError(f"{self.method} needs block_size >= 1, got {self.block_size}")
         if self.x_ref is not None and len(self.x_ref) != 2:
@@ -231,6 +231,7 @@ def _parse_reward(section) -> RewardSpec:
     """The reward dataclass that the section's ``kind`` names (gaussian by
     default), built from the section's other keys."""
     kind = section.get("kind", "gaussian") if isinstance(section, dict) else "gaussian"
+    kind = _value(kind, "str", "reward key 'kind'")
     if kind not in _REWARDS:
         raise ConfigError(f"unknown reward kind {kind!r}, expected one of {tuple(_REWARDS)}")
     cls = _REWARDS[kind]

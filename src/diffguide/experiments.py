@@ -135,10 +135,10 @@ def guided_batch(
     (``GuidancePoint.resolved_block``)."""
     if point.method == "base":
         counters = RunCounters()
-        out = base_sample(model, sched, count, row_seed, counters)
-        return out, counters
+        return base_sample(model, sched, count, row_seed, counters), counters
+    run_seeds = _run_seeds(row_seed, count)
     if point.method == "grad":
-        out, counters = grad_guided_batch(model, sched, spec, point.scale, _run_seeds(row_seed, count))
+        out, counters = grad_guided_batch(model, sched, spec, point.scale, run_seeds)
         if counters.stopped_at is not None:
             raise _diverged(
                 point,
@@ -146,24 +146,10 @@ def guided_batch(
                 f"of the reverse chain t={sched.T}..1",
             )
         return out, counters
-    run_seeds = _run_seeds(row_seed, count)
     x_refs = None
     if point.method == "blockwise_ref" and point.eta < 1.0:
-        x_refs = (
-            np.asarray(point.x_ref, dtype=np.float64)
-            if point.x_ref is not None
-            else _draw_refs(spec, run_seeds)
-        )
-    return blockwise_batch(
-        model,
-        sched,
-        spec,
-        point.n_streams,
-        block,
-        run_seeds,
-        eta=point.eta,
-        x_refs=x_refs,
-    )
+        x_refs = point.x_ref if point.x_ref is not None else _draw_refs(spec, run_seeds)
+    return blockwise_batch(model, sched, spec, point.n_streams, block, run_seeds, eta=point.eta, x_refs=x_refs)
 
 
 def run_sweep(

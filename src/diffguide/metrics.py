@@ -100,11 +100,6 @@ def expected_reward(samples, spec: RewardSpec) -> float:
     return float(np.mean(reward(spec, x)))
 
 
-def normalized_expected_reward(samples, base_samples, spec: RewardSpec) -> float:
-    """Mean reward divided by a base batch's mean reward."""
-    return expected_reward(samples, spec) / expected_reward(base_samples, spec)
-
-
 def win_rate(guided, base, spec: RewardSpec) -> float:
     """Fraction of index-paired comparisons the guided sample wins; ties 0.5."""
     g = np.asarray(guided, dtype=np.float64)

@@ -10,11 +10,10 @@ endpoint, so no separate value model is ever trained.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import predict_eps
 from .schedule import NoiseSchedule, tweedie_x0
 
 
@@ -40,6 +39,22 @@ def float_array(value, name: str) -> np.ndarray:
     return arr
 
 
+class ByValue:
+    """Equality and hash by value for a frozen dataclass declared with
+    ``eq=False``: an array field counts as its shape and its tuple of
+    floats, so ``-0.0`` and ``0.0`` agree in both."""
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return (type(self), *((v.shape, tuple(v.flat)) if isinstance(v, np.ndarray) else v for v in values))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, ByValue) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 def _center(mu) -> np.ndarray:
     arr = float_array(mu, "mu")
     if arr.shape != (2,):
@@ -47,8 +62,8 @@ def _center(mu) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class GaussianReward:
+@dataclass(frozen=True, eq=False)
+class GaussianReward(ByValue):
     """Reward = density of x under an isotropic Gaussian N(mu, sigma^2 I)."""
 
     mu: np.ndarray
@@ -60,8 +75,8 @@ class GaussianReward:
         object.__setattr__(self, "mu", _center(self.mu))
 
 
-@dataclass(frozen=True)
-class QuantizedReward:
+@dataclass(frozen=True, eq=False)
+class QuantizedReward(ByValue):
     """Reward = -delta * floor(|x - mu| / delta); non-differentiable."""
 
     mu: np.ndarray
@@ -114,24 +129,11 @@ def reward_grad(spec: RewardSpec, x):
     return (spec.mu - np.asarray(x, dtype=np.float64)) / spec.sigma**2
 
 
-def estimate_value(model, sched: NoiseSchedule, spec: RewardSpec, x_t, t):
-    """Selection score of noisy state(s): reward the predicted endpoint.
-
-    For t >= 1 the endpoint is the model's clean-sample prediction; Gaussian
-    rewards are scored in log space (monotone, so any argmax is unchanged),
-    the quantized variant by its raw value.  t = 0 scores the state itself.
-    """
-    t_arr = np.asarray(t)
-    if np.ndim(t_arr) != 0:
-        raise ValueError("estimate_value takes a single step index")
-    t = int(t_arr)
-    eps_hat = predict_eps(model, x_t, t, sched) if t > 0 else None
-    return value_given_eps(spec, sched, x_t, t, eps_hat)
-
-
 def value_given_eps(spec: RewardSpec, sched: NoiseSchedule, x_t, t: int, eps_hat):
-    """``estimate_value`` of states ``x_t`` at step ``t`` whose predicted
-    noise ``eps_hat`` is already known (ignored at t = 0)."""
+    """Selection score of states ``x_t`` at step ``t`` with predicted noise
+    ``eps_hat``: the log reward (Gaussian; monotone, so any argmax is kept)
+    or the reward (quantized) of the predicted endpoint.  t = 0 scores the
+    states themselves and ignores ``eps_hat``."""
     if t == 0:
         return reward(spec, x_t)
     x0_hat = tweedie_x0(x_t, eps_hat, t, sched)

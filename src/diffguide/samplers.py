@@ -4,14 +4,16 @@ All guided variants share one blockwise selection core: the reverse chain is
 cut into consecutive blocks of ``block_size`` steps (a shorter final block
 when the step count is not divisible), each block unrolls ``n_streams``
 independent continuations of the current state, the endpoint with the best
-estimated value survives, ties go to the lowest stream id.  Special cases:
+estimated value survives, ties go to the lowest stream id.  Each selection
+method of a ``config.GuidancePoint`` is a ``blockwise_batch`` run with the
+block that ``GuidancePoint.resolved_block`` gives it:
 
-* ``best_of_n_sample``  - one block covering the whole chain (block = T),
-* ``stepwise_sample``   - selection after every single step (block = 1),
-* ``blockwise_ref_sample`` - start from a partially noised reference point
-  and denoise only the remaining ``round(eta * T)`` steps.
+* ``best_of_n``  - one block covering the whole chain (block = T),
+* ``stepwise``   - selection after every single step (block = 1),
+* ``blockwise_ref`` - with ``eta < 1``, start from a partially noised
+  reference point and denoise only the remaining ``round(eta * T)`` steps.
 
-Gradient guidance (``grad_guided_sample``) instead shifts the predicted
+Gradient guidance (``grad_guided_batch``) instead shifts the predicted
 noise along the reward gradient each step and needs a differentiable reward.
 Its batch stops at the first step that leaves a state outside
 ``STATE_BOUND`` (see ``grad_guided_batch``).
@@ -220,57 +222,6 @@ def blockwise_batch(
     return out, counters
 
 
-def _one_run(batch, counters: RunCounters | None) -> np.ndarray:
-    """The sample of a one-run ``(samples, counters)`` batch; its counts
-    are added to ``counters`` when given."""
-    out, c = batch
-    if counters is not None:
-        counters.model_evals += c.model_evals
-        counters.reward_queries += c.reward_queries
-        if c.stopped_at is not None:
-            counters.stopped_at = c.stopped_at
-    return out[0]
-
-
-def blockwise_sample(
-    model,
-    sched: NoiseSchedule,
-    spec: RewardSpec,
-    n_streams: int,
-    block_size: int,
-    seed: int,
-    counters: RunCounters | None = None,
-) -> np.ndarray:
-    """One guided sample via blockwise best-of-n selection."""
-    return _one_run(blockwise_batch(model, sched, spec, n_streams, block_size, [seed]), counters)
-
-
-def blockwise_ref_sample(
-    model,
-    sched: NoiseSchedule,
-    spec: RewardSpec,
-    n_streams: int,
-    block_size: int,
-    eta: float,
-    x_ref,
-    seed: int,
-    counters: RunCounters | None = None,
-) -> np.ndarray:
-    """Guided sample conditioned on a partially noised reference point."""
-    batch = blockwise_batch(model, sched, spec, n_streams, block_size, [seed], eta=eta, x_refs=x_ref)
-    return _one_run(batch, counters)
-
-
-def best_of_n_sample(model, sched, spec, n_streams, seed, counters=None) -> np.ndarray:
-    """Keep the best of n full rollouts: blockwise with a single T-step block."""
-    return blockwise_sample(model, sched, spec, n_streams, sched.T, seed, counters)
-
-
-def stepwise_sample(model, sched, spec, n_streams, seed, counters=None) -> np.ndarray:
-    """Select after every reverse step: blockwise with block size 1."""
-    return blockwise_sample(model, sched, spec, n_streams, 1, seed, counters)
-
-
 def _endpoint_score(spec: GaussianReward, sched: NoiseSchedule, t: int):
     """Row-wise ``grad log r`` at the predicted endpoints of states at step
     ``t``, as a function of the states and their predicted noise."""
@@ -299,8 +250,8 @@ def grad_guided_batch(
     ``STATE_BOUND``, the whole batch stops there: every sample is NaN,
     ``stopped_at`` names that step and the counts cover the steps that ran.
     """
-    if scale < 0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
+    if not (np.isfinite(scale) and scale >= 0):
+        raise ValueError(f"scale must be a finite number >= 0, got {scale}")
     if not isinstance(spec, GaussianReward):
         raise UnsupportedRewardError(
             "gradient guidance needs a differentiable reward; "
@@ -333,15 +284,3 @@ def grad_guided_batch(
             return np.full_like(x, np.nan), counters
     return x, counters
 
-
-def grad_guided_sample(
-    model,
-    sched: NoiseSchedule,
-    spec: RewardSpec,
-    scale: float,
-    seed: int,
-    counters: RunCounters | None = None,
-) -> np.ndarray:
-    """One reward-gradient guided sample; ``scale = 0`` reduces to the base chain."""
-    batch = grad_guided_batch(model, sched, spec, scale, [seed])
-    return _one_run(batch, counters)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import EpsModel, loss_and_param_grads, with_params
-from .rewards import float_array
+from .rewards import ByValue, float_array
 from .schedule import NoiseSchedule
 
 
@@ -15,8 +15,8 @@ class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
 
 
-@dataclass(frozen=True)
-class GmmSpec:
+@dataclass(frozen=True, eq=False)
+class GmmSpec(ByValue):
     """Mixture of isotropic Gaussians with a shared standard deviation."""
 
     weights: np.ndarray

@@ -19,6 +19,7 @@ from diffguide.cli import main
 from diffguide.config import GuidancePoint, ShiftStudyConfig
 from diffguide.experiments import (
     SWEEP_COLUMNS,
+    guided_batch,
     read_csv,
     run_shift_study,
     run_sweep,
@@ -137,15 +138,25 @@ class TestCriterion02SpecialCases:
         sched = dg.build_linear_schedule(100, 1e-3, 0.2)
         model = dg.init_model(16, 8, seed=5)
         spec = dg.GaussianReward(mu=[14.0, 3.0], sigma=2.0)
-        checks = []
-        bon = dg.best_of_n_sample(model, sched, spec, 6, seed=11)
-        checks.append(np.array_equal(bon, dg.blockwise_sample(model, sched, spec, 6, sched.T, seed=11)))
-        sv = dg.stepwise_sample(model, sched, spec, 3, seed=11)
-        checks.append(np.array_equal(sv, dg.blockwise_sample(model, sched, spec, 3, 1, seed=11)))
-        single = dg.blockwise_sample(model, sched, spec, 1, 25, seed=11)
-        checks.append(np.array_equal(single, dg.base_sample(model, sched, 1, seed=11)[0]))
-        ref = dg.blockwise_ref_sample(model, sched, spec, 4, 20, eta=1.0, x_ref=[0.0, 0.0], seed=11)
-        checks.append(np.array_equal(ref, dg.blockwise_sample(model, sched, spec, 4, 20, seed=11)))
+
+        def run(point):
+            block = point.resolved_block(sched.T, "criterion 02")
+            return guided_batch(model, sched, spec, point, block, 11, 1)[0]
+
+        checks = [
+            np.array_equal(
+                run(GuidancePoint("best_of_n", n_streams=6)),
+                run(GuidancePoint("blockwise", n_streams=6, block_size=sched.T)),
+            ),
+            np.array_equal(
+                run(GuidancePoint("stepwise", n_streams=3)),
+                run(GuidancePoint("blockwise", n_streams=3, block_size=1)),
+            ),
+        ]
+        single, _ = dg.blockwise_batch(model, sched, spec, 1, 25, [11])
+        checks.append(np.array_equal(single, dg.base_sample(model, sched, 1, seed=11)))
+        ref, _ = dg.blockwise_batch(model, sched, spec, 4, 20, [11], eta=1.0, x_refs=[0.0, 0.0])
+        checks.append(np.array_equal(ref, dg.blockwise_batch(model, sched, spec, 4, 20, [11])[0]))
         assert report(2, "special-case exactness", all(checks), f"({sum(checks)}/4 bit-identical)")
 
 
@@ -384,7 +395,7 @@ class TestCriterion11NonDifferentiable:
         rows = run_sweep(model, sched, spec, points, 200, 200, seed=4)
         sweep_ok = len(rows) == 3 and all(np.isfinite(r.expected_reward) for r in rows)
         try:
-            dg.grad_guided_sample(model, sched, spec, 5.0, seed=0)
+            dg.grad_guided_batch(model, sched, spec, 5.0, [0])
             grad_refused = False
         except dg.UnsupportedRewardError:
             grad_refused = True

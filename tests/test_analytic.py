@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from diffguide import build_linear_schedule, input_grad, paper_prior, predict_eps
+from diffguide import GmmSpec, IsotropicGaussianEps, build_linear_schedule, input_grad, paper_prior, predict_eps
 from diffguide.analytic import MixtureEps
 
 SCHED = build_linear_schedule(1000)
@@ -37,3 +37,17 @@ def test_mixture_input_grad_shapes():
     batch = input_grad(MODEL, x, 300, SCHED, cot)
     np.testing.assert_allclose(input_grad(MODEL, x, np.full(5, 300), SCHED, cot), batch, rtol=1e-13)
     np.testing.assert_allclose(input_grad(MODEL, x[2], 300, SCHED, cot[2]), batch[2], rtol=1e-13)
+
+
+@pytest.mark.parametrize("t", [1, 10, 500, 1000])
+def test_zero_weight_component_drops_out(t):
+    """A component of weight 0 gets responsibility exactly 0, without a
+    warning (RuntimeWarnings are errors here): the predictor and its VJP
+    have the bits of the one-component predictor."""
+    rng = np.random.default_rng(t)
+    x = rng.normal(5.0, 3.0, size=(500, 2))
+    cot = rng.normal(size=(500, 2))
+    padded = MixtureEps(GmmSpec([1.0, 0.0], [[5, 3], [4, 4]]))
+    alone = IsotropicGaussianEps([5, 3], 2.0)
+    np.testing.assert_array_equal(predict_eps(padded, x, t, SCHED), predict_eps(alone, x, t, SCHED))
+    np.testing.assert_array_equal(input_grad(padded, x, t, SCHED, cot), input_grad(alone, x, t, SCHED, cot))

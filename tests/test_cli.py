@@ -145,6 +145,20 @@ class TestSampleAndGuide:
         assert "grad batch (n=1, scale=1000000.0) diverged" in captured.err
         assert "at step t=30 " in captured.err
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_guide_refuses_a_scale_that_is_no_finite_number(self, trained, capsys, scale):
+        """A NaN scale would run the base chain and an infinite one diverge:
+        both are refused before any sampling."""
+        path, _, ckpt = trained
+        code = main(
+            ["guide", "--config", str(path), "--checkpoint", str(ckpt),
+             "--method", "grad", "--scale", scale]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"scale must be a finite number >= 0, got {float(scale)}" in captured.err
+
     def test_guide_missing_checkpoint(self, trained):
         path, _, _ = trained
         code = main(

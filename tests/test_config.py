@@ -325,6 +325,8 @@ class TestMistypedValues:
              "quantized reward key 'delta' must be a number, got '1'"),
             ("train", "prior", "means", [[0, 0], ["4", 4]],
              "prior key 'means' must be an array of finite numbers, got [[0, 0], ['4', 4]]"),
+            ("train", None, "reward", {"kind": ["gaussian"], "mu": [1, 2]},
+             "reward key 'kind' must be a string, got ['gaussian']"),
             # an integer beyond the float range is no finite number
             pytest.param("train", "schedule", "beta_end", 10**400,
                          "schedule key 'beta_end' must be a number, got 1000", id="train-schedule-beta_end-10**400"),
@@ -427,6 +429,15 @@ class TestDefaults:
             samples_per_point=200,
             kl_samples=200,
         )
+
+    def test_equal_documents_give_equal_configs(self):
+        """Two loads of one document compare and hash equal, arrays and all;
+        a different reward centre compares unequal."""
+        a, b = config_from_dict(example_config()), config_from_dict(example_config())
+        assert a == b and hash(a) == hash(b)
+        doc = example_config()
+        doc["reward"]["mu"] = [14, 4]
+        assert config_from_dict(doc) != a
 
 
 def test_readme_config_example_loads():

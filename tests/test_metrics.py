@@ -13,7 +13,6 @@ from diffguide import (
     fit_gaussian,
     gaussian_kl,
     kl_upper_bound,
-    normalized_expected_reward,
     win_rate,
 )
 from diffguide.metrics import RELATIVE_RIDGE, RIDGE, selection_gap
@@ -146,11 +145,6 @@ class TestExpectedReward:
         spec = GaussianReward(mu=[2.0, 2.0], sigma=2.0)
         xs = np.tile([2.0, 2.0], (5, 1))
         assert expected_reward(xs, spec) == pytest.approx(1.0 / (8.0 * np.pi), rel=1e-14)
-
-    def test_normalization_against_self(self):
-        spec = GaussianReward(mu=[0.0, 0.0], sigma=1.0)
-        xs = np.random.default_rng(0).normal(size=(100, 2))
-        assert normalized_expected_reward(xs, xs, spec) == pytest.approx(1.0)
 
     def test_reward_distribution_self_expectation(self):
         """Monte-Carlo oracle: E of the density under its own distribution

@@ -9,13 +9,13 @@ from diffguide import (
     QuantizedReward,
     UnsupportedRewardError,
     build_linear_schedule,
-    estimate_value,
     init_model,
     log_reward,
     predict_eps,
     reward,
     reward_grad,
 )
+from diffguide.rewards import value_given_eps
 
 
 class TestGaussianReward:
@@ -63,6 +63,15 @@ class TestGaussianReward:
         np.testing.assert_array_equal(spec.mu, [14.0, 3.0])
         assert spec.sigma == 2.0
 
+    def test_compares_and_hashes_by_value(self):
+        a, b = GaussianReward(mu=[1, 2]), GaussianReward(mu=[1.0, 2.0])
+        assert a == b and hash(a) == hash(b)
+        assert GaussianReward(mu=[0.0, 2.0]) == GaussianReward(mu=[-0.0, 2.0])
+        assert hash(GaussianReward(mu=[0.0, 2.0])) == hash(GaussianReward(mu=[-0.0, 2.0]))
+        assert a != GaussianReward(mu=[1, 3]) and a != GaussianReward(mu=[1, 2], sigma=3)
+        assert a != QuantizedReward(mu=[1, 2], delta=2.0)
+        assert QuantizedReward(mu=[1, 2]) == QuantizedReward(mu=[1.0, 2.0])
+
 
 class TestQuantizedReward:
     def test_floor_steps(self):
@@ -108,15 +117,20 @@ class TestRewardGrad:
             np.testing.assert_allclose(got, fd, atol=1e-8)
 
 
+def value(model, sched, spec, x_t, t):
+    """The value estimate of states ``x_t`` at step ``t >= 1``, from the
+    model's predicted noise, as the selection core scores an endpoint."""
+    return value_given_eps(spec, sched, x_t, t, predict_eps(model, x_t, t, sched))
+
+
 class TestEstimateValue:
     def test_t0_is_terminal_reward(self):
         sched = build_linear_schedule(10)
-        model = init_model(4, 2, seed=0)
         g = GaussianReward(mu=[1.0, 1.0], sigma=2.0)
         q = QuantizedReward(mu=[1.0, 1.0], delta=1.0)
         x = np.array([0.2, 2.0])
-        assert estimate_value(model, sched, g, x, 0) == reward(g, x)
-        assert estimate_value(model, sched, q, x, 0) == reward(q, x)
+        assert value_given_eps(g, sched, x, 0, None) == reward(g, x)
+        assert value_given_eps(q, sched, x, 0, None) == reward(q, x)
 
     def test_matches_analytic_posterior_reward(self):
         """With the exact single-Gaussian predictor the value is the log
@@ -133,7 +147,7 @@ class TestEstimateValue:
             gain = np.sqrt(ab) * s**2 / (ab * s**2 + 1.0 - ab)
             post_mean = mean + gain * (x_t - np.sqrt(ab) * mean)
             want = log_reward(spec, post_mean)
-            got = estimate_value(model, sched, spec, x_t, t)
+            got = value(model, sched, spec, x_t, t)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_orders_by_distance_to_reward(self):
@@ -141,8 +155,8 @@ class TestEstimateValue:
         model = IsotropicGaussianEps(mean=np.array([0.0, 0.0]), sigma=1.0)
         spec = GaussianReward(mu=[4.0, 0.0], sigma=2.0)
         # candidate whose predicted endpoint is closer to mu gets more value
-        near = estimate_value(model, sched, spec, np.array([3.0, 0.0]), 25)
-        far = estimate_value(model, sched, spec, np.array([-3.0, 0.0]), 25)
+        near = value(model, sched, spec, np.array([3.0, 0.0]), 25)
+        far = value(model, sched, spec, np.array([-3.0, 0.0]), 25)
         assert near > far
 
     def test_batched_values(self):
@@ -150,7 +164,7 @@ class TestEstimateValue:
         model = init_model(4, 2, seed=1)
         spec = GaussianReward(mu=[1.0, 0.0], sigma=2.0)
         xs = np.random.default_rng(4).normal(size=(5, 2))
-        vals = estimate_value(model, sched, spec, xs, 7)
+        vals = value(model, sched, spec, xs, 7)
         assert vals.shape == (5,)
-        single = estimate_value(model, sched, spec, xs[2:3], 7)
+        single = value(model, sched, spec, xs[2:3], 7)
         np.testing.assert_allclose(vals[2], single[0], rtol=1e-13, atol=1e-15)

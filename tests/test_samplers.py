@@ -9,29 +9,25 @@ from diffguide import (
     GaussianReward,
     IsotropicGaussianEps,
     QuantizedReward,
-    RunCounters,
     UnsupportedRewardError,
     base_sample,
-    best_of_n_sample,
     blockwise_batch,
-    blockwise_ref_sample,
-    blockwise_sample,
     build_linear_schedule,
     ddpm_step,
-    estimate_value,
     fit_gaussian,
     gaussian_kl,
     grad_guided_batch,
-    grad_guided_sample,
     init_model,
     paper_prior,
     posterior_mean,
     predict_eps,
-    stepwise_sample,
 )
 from diffguide import input_grad, reward_grad, streams, tweedie_x0
 from diffguide.analytic import MixtureEps
+from diffguide.config import GuidancePoint
+from diffguide.experiments import guided_batch
 from diffguide.model import CHUNK_ROWS
+from diffguide.rewards import value_given_eps
 from diffguide.samplers import STATE_BOUND, _block_bounds
 
 SCHED = build_linear_schedule(50)
@@ -136,22 +132,28 @@ class TestSpecialCaseEquivalences:
     def test_single_stream_is_base(self):
         want = base_sample(MODEL, SCHED, 1, seed=7)[0]
         for block in (1, 13, 50):
-            got = blockwise_sample(MODEL, SCHED, REWARD, 1, block, seed=7)
-            np.testing.assert_array_equal(got, want)
+            got, _ = blockwise_batch(MODEL, SCHED, REWARD, 1, block, [7])
+            np.testing.assert_array_equal(got[0], want)
+
+    @staticmethod
+    def point_run(point):
+        """One run of ``point`` from row seed 9, as the sweep runs it."""
+        block = point.resolved_block(SCHED.T, "test")
+        return guided_batch(MODEL, SCHED, REWARD, point, block, 9, 1)[0]
 
     def test_best_of_n_is_full_block(self):
-        a = best_of_n_sample(MODEL, SCHED, REWARD, 4, seed=9)
-        b = blockwise_sample(MODEL, SCHED, REWARD, 4, SCHED.T, seed=9)
+        a = self.point_run(GuidancePoint("best_of_n", n_streams=4))
+        b = self.point_run(GuidancePoint("blockwise", n_streams=4, block_size=SCHED.T))
         np.testing.assert_array_equal(a, b)
 
     def test_stepwise_is_unit_block(self):
-        a = stepwise_sample(MODEL, SCHED, REWARD, 3, seed=9)
-        b = blockwise_sample(MODEL, SCHED, REWARD, 3, 1, seed=9)
+        a = self.point_run(GuidancePoint("stepwise", n_streams=3))
+        b = self.point_run(GuidancePoint("blockwise", n_streams=3, block_size=1))
         np.testing.assert_array_equal(a, b)
 
     def test_full_noise_ref_reduces_to_plain(self):
-        a = blockwise_ref_sample(MODEL, SCHED, REWARD, 4, 10, eta=1.0, x_ref=[99.0, -99.0], seed=5)
-        b = blockwise_sample(MODEL, SCHED, REWARD, 4, 10, seed=5)
+        a, _ = blockwise_batch(MODEL, SCHED, REWARD, 4, 10, [5], eta=1.0, x_refs=[99.0, -99.0])
+        b, _ = blockwise_batch(MODEL, SCHED, REWARD, 4, 10, [5])
         np.testing.assert_array_equal(a, b)
 
     def test_explicit_best_of_n_oracle(self):
@@ -176,8 +178,8 @@ class TestSpecialCaseEquivalences:
             finals.append(x)
         finals = np.asarray(finals)
         best = finals[int(np.argmax(reward(REWARD, finals)))]
-        got = best_of_n_sample(MODEL, SCHED, REWARD, n, seed=seed)
-        np.testing.assert_allclose(got, best, rtol=0, atol=1e-12)
+        got, _ = blockwise_batch(MODEL, SCHED, REWARD, n, SCHED.T, [seed])
+        np.testing.assert_allclose(got[0], best, rtol=0, atol=1e-12)
 
 
 class TestSelectionLogic:
@@ -203,18 +205,20 @@ class TestSelectionLogic:
                     else:
                         y = mu
                 endpoints.append(y)
-            vals = [estimate_value(model, sched, spec, y, t_lo - 1) for y in endpoints]
+            t = t_lo - 1
+            eps = [predict_eps(model, y, t, sched) if t > 0 else None for y in endpoints]
+            vals = [value_given_eps(spec, sched, y, t, e) for y, e in zip(endpoints, eps)]
             x = endpoints[int(np.argmax(vals))]
 
-        got = blockwise_sample(model, sched, spec, 2, 2, seed=seed)
-        np.testing.assert_allclose(got, x, rtol=0, atol=1e-13)
+        got, _ = blockwise_batch(model, sched, spec, 2, 2, [seed])
+        np.testing.assert_allclose(got[0], x, rtol=0, atol=1e-13)
 
     def test_ties_pick_lowest_stream(self):
         """A constant reward ties every candidate; stream 0 must win, which
         makes the output identical to the single-stream chain."""
         flat = QuantizedReward(mu=[0.0, 0.0], delta=1e12)
-        a = blockwise_sample(MODEL, SCHED, flat, 5, 10, seed=13)
-        b = blockwise_sample(MODEL, SCHED, flat, 1, 10, seed=13)
+        a, _ = blockwise_batch(MODEL, SCHED, flat, 5, 10, [13])
+        b, _ = blockwise_batch(MODEL, SCHED, flat, 1, 10, [13])
         np.testing.assert_array_equal(a, b)
 
     def test_constant_reward_matches_base_distribution(self):
@@ -245,16 +249,16 @@ class TestBatchedRuns:
         seeds = [streams.derive_seed(900, i) for i in range(3)]
         batch, _ = blockwise_batch(MODEL, SCHED, REWARD, 3, 10, seeds)
         for i, s in enumerate(seeds):
-            single = blockwise_sample(MODEL, SCHED, REWARD, 3, 10, seed=s)
-            np.testing.assert_array_equal(batch[i], single)
+            single, _ = blockwise_batch(MODEL, SCHED, REWARD, 3, 10, [s])
+            np.testing.assert_array_equal(batch[i], single[0])
 
     def test_grad_batch_equals_single_runs(self):
         """Gradient guidance over 37 runs gives each run the bits it has alone."""
         seeds = [streams.derive_seed(902, i) for i in range(37)]
         batch, _ = grad_guided_batch(MODEL, SCHED, REWARD, 1.0, seeds)
         for i, s in enumerate(seeds):
-            single = grad_guided_sample(MODEL, SCHED, REWARD, 1.0, seed=s)
-            np.testing.assert_array_equal(batch[i], single)
+            single, _ = grad_guided_batch(MODEL, SCHED, REWARD, 1.0, [s])
+            np.testing.assert_array_equal(batch[i], single[0])
 
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     def test_grad_batch_matches_separate_calls(self, scale):
@@ -270,11 +274,11 @@ class TestBatchedRuns:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            blockwise_sample(MODEL, SCHED, REWARD, 0, 10, seed=0)
+            blockwise_batch(MODEL, SCHED, REWARD, 0, 10, [0])
         with pytest.raises(ValueError):
-            blockwise_sample(MODEL, SCHED, REWARD, 2, 0, seed=0)
+            blockwise_batch(MODEL, SCHED, REWARD, 2, 0, [0])
         with pytest.raises(ValueError):
-            blockwise_sample(MODEL, SCHED, REWARD, 2, SCHED.T + 1, seed=0)
+            blockwise_batch(MODEL, SCHED, REWARD, 2, SCHED.T + 1, [0])
 
 
 class TestNoisedReferenceStart:
@@ -284,20 +288,19 @@ class TestNoisedReferenceStart:
         sched = build_linear_schedule(100, 1e-3, 0.2)
         model = IsotropicGaussianEps(mean=np.array([5.0, 5.0]), sigma=2.0)
         x_ref = np.array([6.0, 4.0])
-        got = blockwise_ref_sample(model, sched, REWARD, 1, 1, eta=0.01, x_ref=x_ref, seed=8)
-        assert np.linalg.norm(got - x_ref) < 0.3
+        got, _ = blockwise_batch(model, sched, REWARD, 1, 1, [8], eta=0.01, x_refs=x_ref)
+        assert np.linalg.norm(got[0] - x_ref) < 0.3
 
     def test_eta_validation(self):
         with pytest.raises(ValueError):
-            blockwise_ref_sample(MODEL, SCHED, REWARD, 2, 5, eta=0.0, x_ref=[0, 0], seed=0)
+            blockwise_batch(MODEL, SCHED, REWARD, 2, 5, [0], eta=0.0, x_refs=[0, 0])
         with pytest.raises(ValueError):
-            blockwise_ref_sample(MODEL, SCHED, REWARD, 2, 5, eta=1.5, x_ref=[0, 0], seed=0)
+            blockwise_batch(MODEL, SCHED, REWARD, 2, 5, [0], eta=1.5, x_refs=[0, 0])
         with pytest.raises(ValueError):
-            blockwise_ref_sample(MODEL, SCHED, REWARD, 2, 5, eta=0.5, x_ref=None, seed=0)
+            blockwise_batch(MODEL, SCHED, REWARD, 2, 5, [0], eta=0.5, x_refs=None)
 
     def test_partial_chain_step_count(self):
-        c = RunCounters()
-        blockwise_ref_sample(MODEL, SCHED, REWARD, 2, 5, eta=0.6, x_ref=[1.0, 1.0], seed=0, counters=c)
+        _, c = blockwise_batch(MODEL, SCHED, REWARD, 2, 5, [0], eta=0.6, x_refs=[1.0, 1.0])
         assert c.model_evals == 2 * round(0.6 * SCHED.T)
         assert c.reward_queries == 2 * int(np.ceil(round(0.6 * SCHED.T) / 5))
 
@@ -307,33 +310,36 @@ class TestCounters:
         """T=1000, B=100, N=3: exactly 10 selections and N*T denoising evals."""
         sched = build_linear_schedule(1000)
         model = init_model(4, 2, seed=0)
-        c = RunCounters()
-        blockwise_sample(model, sched, REWARD, 3, 100, seed=0, counters=c)
+        _, c = blockwise_batch(model, sched, REWARD, 3, 100, [0])
         assert c.reward_queries == 3 * 10
         assert c.model_evals == 3 * 1000
 
     def test_best_of_n_accounting(self):
-        c = RunCounters()
-        best_of_n_sample(MODEL, SCHED, REWARD, 6, seed=0, counters=c)
+        _, c = blockwise_batch(MODEL, SCHED, REWARD, 6, SCHED.T, [0])
         assert c.model_evals == 6 * SCHED.T
         assert c.reward_queries == 6
 
     def test_stepwise_accounting(self):
-        c = RunCounters()
-        stepwise_sample(MODEL, SCHED, REWARD, 2, seed=0, counters=c)
+        _, c = blockwise_batch(MODEL, SCHED, REWARD, 2, 1, [0])
         assert c.model_evals == 2 * SCHED.T
         assert c.reward_queries == 2 * SCHED.T
 
 
 class TestGradGuidance:
     def test_zero_scale_is_base(self):
-        a = grad_guided_sample(MODEL, SCHED, REWARD, 0.0, seed=7)
-        b = base_sample(MODEL, SCHED, 1, seed=7)[0]
+        a, _ = grad_guided_batch(MODEL, SCHED, REWARD, 0.0, [7])
+        b = base_sample(MODEL, SCHED, 1, seed=7)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_quantized_reward(self):
         with pytest.raises(UnsupportedRewardError):
-            grad_guided_sample(MODEL, SCHED, QuantizedReward(mu=[0.0, 0.0]), 5.0, seed=0)
+            grad_guided_batch(MODEL, SCHED, QuantizedReward(mu=[0.0, 0.0]), 5.0, [0])
+
+    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
+    def test_rejects_a_scale_that_is_no_finite_number_at_least_zero(self, scale):
+        """A NaN scale fails every comparison, so it would run the base chain."""
+        with pytest.raises(ValueError, match="scale must be a finite number >= 0"):
+            grad_guided_batch(MODEL, SCHED, REWARD, scale, [0])
 
     def test_guidance_moves_toward_reward(self):
         sched = build_linear_schedule(60)
@@ -415,8 +421,7 @@ class TestDivergenceGuard:
         assert (counters.model_evals, counters.reward_queries) == (ran, ran)
 
     def test_single_run_reports_the_step(self):
-        c = RunCounters()
-        got = grad_guided_sample(MODEL, SCHED, REWARD, 1e6, seed=0, counters=c)
+        got, c = grad_guided_batch(MODEL, SCHED, REWARD, 1e6, [0])
         assert np.all(np.isnan(got))
         assert c.stopped_at == SCHED.T - 1
         assert (c.model_evals, c.reward_queries) == (2, 2)

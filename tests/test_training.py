@@ -50,6 +50,13 @@ class TestGmmSpec:
         np.testing.assert_array_equal(spec.means, [[2.0, -3.0]])
         assert spec.sigma == 2.0
 
+    def test_compares_and_hashes_by_value(self):
+        a, b = GmmSpec(weights=[1], means=[[2, -3]]), GmmSpec(weights=[1.0], means=[[2.0, -3.0]])
+        assert a == b and hash(a) == hash(b)
+        assert a != GmmSpec(weights=[1], means=[[2, 3]])
+        assert paper_prior() == paper_prior() and hash(paper_prior()) == hash(paper_prior())
+        assert paper_prior() != GmmSpec(paper_prior().weights, paper_prior().means, sigma=1.0)
+
     def test_analytic_moments_of_study_prior(self):
         spec = paper_prior()
         np.testing.assert_allclose(mixture_mean(spec), [5.0, 17.0 / 3.0], rtol=1e-14)
