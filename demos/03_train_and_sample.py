@@ -1,7 +1,7 @@
 """Train the noise predictor at smoke scale and check its fidelity.
 
-Uses the fast profile (T=100 with rescaled betas) so the whole script runs
-in a few seconds; the study-scale run is driven through the CLI instead
+Builds a T=100 schedule with betas from 1e-3 to 0.2, so the whole script
+runs in a few seconds; the study-scale run is driven through the CLI instead
 (see the README).
 """
 

@@ -25,7 +25,6 @@ from .model import (
     input_grad,
     load_checkpoint,
     loss_and_param_grads,
-    param_count,
     predict_eps,
     save_checkpoint,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "mixture_cov",
     "mixture_mean",
     "paper_prior",
-    "param_count",
     "posterior_mean",
     "predict_eps",
     "reward",

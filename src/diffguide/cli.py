@@ -38,9 +38,8 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
-    p.add_argument("--config", required=config_required, help="JSON experiment config")
-    p.add_argument("--profile", choices=("full", "ci"), default=None, help="preset overrides")
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
 
@@ -96,7 +95,7 @@ def _load_checkpoint(path):
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, profile=args.profile, seed=args.seed, out_dir=args.out)
+    cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
     try:
         sched = build_linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
     except ValueError as exc:
@@ -131,6 +130,8 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if not streams.is_seed(args.seed):
+        raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
     model, sched = _load_checkpoint(args.checkpoint)
     xs = base_sample(model, sched, args.n, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -142,7 +143,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_guide(args) -> int:
-    cfg = load_config(args.config, profile=args.profile, seed=args.seed)
+    cfg = load_config(args.config, seed=args.seed)
     model, sched = _load_checkpoint(args.checkpoint)
     point = GuidancePoint(
         method=args.method,
@@ -168,7 +169,7 @@ def cmd_guide(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, profile=args.profile, seed=args.seed, out_dir=args.out)
+    cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
     if not cfg.sweep:
         raise ConfigError("config has an empty sweep list")
     model, sched = _load_checkpoint(args.checkpoint)
@@ -186,7 +187,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_shift_study(args) -> int:
-    cfg = load_config(args.config, profile=args.profile, seed=args.seed, out_dir=args.out)
+    cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
     if cfg.shift is None:
         raise ConfigError("config has no shift_study section")
     model, sched = _load_checkpoint(args.checkpoint)

@@ -1,4 +1,4 @@
-"""Experiment configuration: JSON schema, validation, profiles.
+"""Experiment configuration: JSON schema and validation.
 
 A config file is a single JSON document with nested sections (see
 ``example_config`` for the full shape).  One rule, ``_fields``, checks each
@@ -8,8 +8,7 @@ its ``kind`` names (``reward``), ``TrainConfig`` (``train``),
 ``ShiftStudyConfig`` (``shift_study``) or ``GuidancePoint`` (each sweep
 point and shift cell).  It refuses unknown keys and values of the wrong
 type, an absent key keeps the field's default, and the dataclass then
-checks the values.  The ``ci`` profile shrinks the schedule and sample
-counts for fast smoke runs; ``full`` is the study-scale default.
+checks the values.
 """
 
 from __future__ import annotations
@@ -17,25 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, replace
 
+from . import streams
 from .metrics import BOUNDED_METHODS
 from .rewards import GaussianReward, QuantizedReward, RewardSpec, float_array, is_number
 from .training import GmmSpec, TrainConfig, paper_prior
 
 METHODS = ("base", "grad") + BOUNDED_METHODS
-
-# the ci profile rescales the beta range by 1000/T so the shortened chain
-# still ends near pure noise (alpha_bar[T] ~ 4e-5, like the full profile)
-PROFILES = {
-    "full": {},
-    "ci": {
-        "T": 100,
-        "beta_start": 1e-3,
-        "beta_end": 0.2,
-        "epochs": 20,
-        "samples_per_point": 200,
-        "kl_samples": 200,
-    },
-}
 
 
 class ConfigError(ValueError):
@@ -79,6 +65,8 @@ class GuidancePoint:
             raise ConfigError(f"{self.method} needs block_size >= 1, got {self.block_size}")
         if self.x_ref is not None and len(self.x_ref) != 2:
             raise ConfigError(f"x_ref must be a 2-vector, got {self.x_ref}")
+        if self.seed is not None and not streams.is_seed(self.seed):
+            raise ConfigError(f"seed must be an integer in [0, 2^64) or null, got {self.seed!r}")
         for name, methods, value in _METHOD_FIELDS:
             if self.method not in methods and getattr(self, name) != value:
                 # "grad", "blockwise and blockwise_ref", "a, b, c and d"
@@ -103,13 +91,16 @@ class GuidancePoint:
 
     def resolved_block(self, T: int, where: str) -> int:
         """Concrete block size for a chain of ``T`` steps: stepwise pins 1,
-        best-of-n (and the methods without blocks) pin T."""
+        best-of-n (and the methods without blocks) pin T.  Also refuses an
+        ``eta`` that leaves no step of the chain to denoise."""
         if self.method == "stepwise":
             return 1
         if self.method not in ("blockwise", "blockwise_ref"):
             return T
         if self.block_size > T:
             raise ConfigError(f"{where} ({self.label()}): block_size {self.block_size} exceeds the schedule's T = {T}")
+        if round(self.eta * T) < 1:
+            raise ConfigError(f"{where} ({self.label()}): eta {self.eta:g} leaves no denoising step at the schedule's T = {T}")
         return self.block_size
 
     def label(self) -> str:
@@ -168,6 +159,8 @@ class ExperimentConfig:
             raise ConfigError("samples_per_point must be >= 2")
         if self.kl_samples < 2:
             raise ConfigError("kl_samples must be >= 2")
+        if not streams.is_seed(self.seed):
+            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         for i, point in enumerate(self.sweep):
             point.check_reward(self.reward, f"sweep[{i}]")
         for i, cell in enumerate(self.shift.cells if self.shift else ()):
@@ -274,15 +267,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
-def apply_profile(cfg: ExperimentConfig, profile: str) -> ExperimentConfig:
-    if profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r}, expected one of {sorted(PROFILES)}")
-    over = dict(PROFILES[profile])
-    train = replace(cfg.train, epochs=over.pop("epochs", cfg.train.epochs))
-    return replace(cfg, train=train, **over)
-
-
-def load_config(path, profile: str | None = None, seed: int | None = None, out_dir: str | None = None) -> ExperimentConfig:
+def load_config(path, seed: int | None = None, out_dir: str | None = None) -> ExperimentConfig:
     """Read and validate a JSON config, applying CLI overrides."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -292,8 +277,6 @@ def load_config(path, profile: str | None = None, seed: int | None = None, out_d
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     cfg = config_from_dict(raw)
-    if profile:
-        cfg = apply_profile(cfg, profile)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     if out_dir is not None:

@@ -134,8 +134,7 @@ def guided_batch(
     compute counters; ``block`` is the point's block resolved for ``sched``
     (``GuidancePoint.resolved_block``)."""
     if point.method == "base":
-        counters = RunCounters()
-        return base_sample(model, sched, count, row_seed, counters), counters
+        return base_sample(model, sched, count, row_seed), RunCounters(model_evals=sched.T)
     run_seeds = _run_seeds(row_seed, count)
     if point.method == "grad":
         out, counters = grad_guided_batch(model, sched, spec, point.scale, run_seeds)

@@ -155,10 +155,6 @@ class GradBundle:
         return [(name, getattr(self, name)) for name in PARAM_NAMES]
 
 
-def param_count(model: EpsModel) -> int:
-    return sum(arr.size for _, arr in model.params())
-
-
 def init_model(
     hidden_width: int,
     embed_width: int,

@@ -95,7 +95,7 @@ def ddpm_step(model, sched: NoiseSchedule, x_t, t: int, noise):
     return mu
 
 
-def base_sample(model, sched: NoiseSchedule, n: int, seed: int, counters: RunCounters | None = None) -> np.ndarray:
+def base_sample(model, sched: NoiseSchedule, n: int, seed: int) -> np.ndarray:
     """n independent full ancestral rollouts from pure noise, shape (n, 2).
 
     Rollout i occupies stream slot i of the seed's key space, so the first
@@ -107,10 +107,7 @@ def base_sample(model, sched: NoiseSchedule, n: int, seed: int, counters: RunCou
     x = streams.normal_pair(seed, streams.ROLE_INIT, ids, 0)
     for t, noise in streams.step_noise(seed, ids, sched.T):
         x = ddpm_step(model, sched, x, t, noise)
-    x = ddpm_step(model, sched, x, 1, None)
-    if counters is not None:
-        counters.model_evals += sched.T
-    return x
+    return ddpm_step(model, sched, x, 1, None)
 
 
 def _block_bounds(top: int, block_size: int):

@@ -45,6 +45,12 @@ _TWO53 = float(1 << 53)
 SLAB_KEYS = 4096
 
 
+def is_seed(value) -> bool:
+    """Whether ``value`` is a seed: an integer (not a bool) in [0, 2^64),
+    the range of a key field."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < 1 << 64
+
+
 def _mix(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, elementwise over uint64 arrays (wrapping)."""
     z = z + _GOLDEN

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import streams
 from .model import EpsModel, loss_and_param_grads, with_params
 from .rewards import ByValue, float_array
 from .schedule import NoiseSchedule
@@ -104,6 +105,8 @@ class TrainConfig:
             raise ValueError("epochs, dataset_size and batch_size must be positive, lr >= 0")
         if self.batch_size > self.dataset_size:
             raise ValueError("batch_size cannot exceed dataset_size")
+        if not streams.is_seed(self.seed):
+            raise ValueError(f"train seed must be an integer in [0, 2^64), got {self.seed!r}")
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)

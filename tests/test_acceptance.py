@@ -410,7 +410,7 @@ class TestCriterion11NonDifferentiable:
 
 class TestCriterion12Determinism:
     def test_repeat_sweep_bytes_and_counters(self, lab, tradeoff_rows):
-        # counters on the full-profile rows
+        # counters on the study-scale rows
         counter_ok = True
         for r in tradeoff_rows:
             tau = round(r["eta"] * FULL_T)

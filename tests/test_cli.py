@@ -1,5 +1,6 @@
 """End-to-end CLI behavior on a miniature configuration."""
 
+import argparse
 import importlib
 import json
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffguide.cli import main
+from diffguide.cli import build_parser, main
 from diffguide.model import load_checkpoint
 
 
@@ -107,6 +108,15 @@ class TestSampleAndGuide:
         code = main(["sample", "--checkpoint", str(ckpt), "--n", n, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == f"error: --n must be >= 1, got {n}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_sample_refuses_a_seed_outside_the_key_range(self, trained, tmp_path, capsys, seed):
+        _, _, ckpt = trained
+        out = tmp_path / "samples.csv"
+        code = main(["sample", "--checkpoint", str(ckpt), "--seed", seed, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --seed must be in [0, 2^64), got {seed}\n"
         assert not out.exists()
 
     def test_guide_reports_counters(self, trained, capsys):
@@ -260,16 +270,6 @@ class TestPlotCommand:
     def test_missing_csv(self, tmp_path):
         assert main(["plot", str(tmp_path / "none.csv"), "--out", str(tmp_path)]) == 2
 
-    def test_profile_override(self, tmp_path):
-        """The ci profile rewrites schedule and sampling sizes."""
-        path, _ = mini_config(tmp_path)
-        from diffguide.config import load_config
-
-        cfg = load_config(path, profile="ci")
-        assert cfg.T == 100
-        assert cfg.train.epochs == 20
-        assert cfg.samples_per_point == 200
-
 
 def test_console_script_target_runs(monkeypatch, capsys):
     """The ``diffguide`` console script in pyproject.toml resolves to a
@@ -280,3 +280,23 @@ def test_console_script_target_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["diffguide", "--help"])
     assert target() == 0
     assert capsys.readouterr().out.startswith("usage: diffguide ")
+
+
+def test_readme_synopsis_names_only_parser_options():
+    """Every ``--flag`` on a ``diffguide <command>`` line of the README's
+    command synopsis is an option of that subcommand, and the synopsis
+    shows every subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    shown = set()
+    for line in block.replace("\\\n", " ").splitlines():
+        words = line.split()
+        if words[:1] != ["diffguide"]:
+            continue
+        options = commands[words[1]]._option_string_actions
+        for flag in re.findall(r"--[\w-]+", line):
+            assert flag in options, f"README synopsis: diffguide {words[1]} has no option {flag}"
+        shown.add(words[1])
+    assert shown == set(commands)

@@ -3,7 +3,7 @@ end a command with exit code 2 and a message, not a traceback."""
 
 import json
 import re
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,6 @@ from diffguide.cli import main
 from diffguide.config import (
     ExperimentConfig,
     ShiftStudyConfig,
-    apply_profile,
     config_from_dict,
     example_config,
 )
@@ -327,6 +326,14 @@ class TestMistypedValues:
              "prior key 'means' must be an array of finite numbers, got [[0, 0], ['4', 4]]"),
             ("train", None, "reward", {"kind": ["gaussian"], "mu": [1, 2]},
              "reward key 'kind' must be a string, got ['gaussian']"),
+            # a seed keys the noise streams, whose key fields hold [0, 2^64)
+            ("train", None, "seed", -1, "seed must be an integer in [0, 2^64), got -1"),
+            ("train", None, "seed", 2**64, f"seed must be an integer in [0, 2^64), got {2**64}"),
+            ("train", "train", "seed", -1, "train seed must be an integer in [0, 2^64), got -1"),
+            ("train", "train", "seed", 2**64, f"train seed must be an integer in [0, 2^64), got {2**64}"),
+            ("sweep", "sweep", "seed", -1, "sweep[1]: seed must be an integer in [0, 2^64) or null, got -1"),
+            ("sweep", "sweep", "seed", 2**64,
+             f"sweep[1]: seed must be an integer in [0, 2^64) or null, got {2**64}"),
             # an integer beyond the float range is no finite number
             pytest.param("train", "schedule", "beta_end", 10**400,
                          "schedule key 'beta_end' must be a number, got 1000", id="train-schedule-beta_end-10**400"),
@@ -363,7 +370,8 @@ class TestMistypedValues:
 class TestBlockSizes:
     """A blockwise point needs a block size in [1, T], T being the
     checkpoint's.  A point without one, or with one below 1, is refused when
-    the config loads; one above T before the base batch.  Either way the
+    the config loads; one above T, or a blockwise_ref ``eta`` that leaves no
+    step of that T to denoise, before the base batch.  Either way the
     command exits 2 with a message that names the point, before any
     sampling and before the output directory is made."""
 
@@ -376,6 +384,10 @@ class TestBlockSizes:
         (
             {"method": "blockwise", "n_streams": 2, "block_size": 21},
             "[1] (blockwise-n2-b21): block_size 21 exceeds the schedule's T = 20",
+        ),
+        (
+            {"method": "blockwise_ref", "n_streams": 2, "block_size": 5, "eta": 0.01},
+            "[1] (blockwise_ref-n2-b5-eta0.01): eta 0.01 leaves no denoising step at the schedule's T = 20",
         ),
     ]
 
@@ -401,6 +413,12 @@ class TestBlockSizes:
         assert run(tmp_path, base_config(tmp_path), "guide", "--checkpoint", checkpoint, *args) == 2
         assert "guide (blockwise-n2-b21): block_size 21 exceeds the schedule's T = 20" in capsys.readouterr().err
 
+    def test_guide_eta_without_a_step(self, tmp_path, checkpoint, capsys):
+        args = ["--method", "blockwise_ref", "--n-streams", "2", "--block-size", "5", "--eta", "0.001"]
+        assert run(tmp_path, base_config(tmp_path), "guide", "--checkpoint", checkpoint, *args) == 2
+        err = capsys.readouterr().err
+        assert "guide (blockwise_ref-n2-b5-eta0.001): eta 0.001 leaves no denoising step at the schedule's T = 20" in err
+
 
 class TestDefaults:
     def test_omitted_keys_take_the_dataclass_defaults(self):
@@ -415,19 +433,6 @@ class TestDefaults:
         cfg = config_from_dict({"sweep": [{"method": "base"}], "shift_study": study})
         assert cfg.shift.runs_per_cell == next(
             f.default for f in fields(ShiftStudyConfig) if f.name == "runs_per_cell"
-        )
-
-    def test_profiles(self):
-        cfg = config_from_dict({"sweep": [{"method": "base"}]})
-        assert apply_profile(cfg, "full") == cfg
-        assert apply_profile(cfg, "ci") == replace(
-            cfg,
-            T=100,
-            beta_start=1e-3,
-            beta_end=0.2,
-            train=replace(cfg.train, epochs=20),
-            samples_per_point=200,
-            kl_samples=200,
         )
 
     def test_equal_documents_give_equal_configs(self):
