@@ -6,8 +6,7 @@ best-of-n, reference-conditioned starts, or reward-gradient corrections, and
 measure the reward / divergence trade-offs.
 """
 
-from . import analytic as _analytic  # registers the closed-form predictor
-from .analytic import IsotropicGaussianEps
+from .analytic import IsotropicGaussianEps  # also registers the closed-form predictor
 from .metrics import (
     GaussianFit,
     batch_variance,

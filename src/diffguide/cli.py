@@ -41,7 +41,6 @@ EXIT_RUNTIME = 3
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--out", default=None, help="output directory (overrides config)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,6 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render SVG figures from a metrics CSV")
     p.add_argument("csv", help="metrics CSV produced by sweep or shift-study")
     p.add_argument("--out", default=".", help="directory for the SVG files")
+
+    # guide writes no files
+    for name in ("train", "sweep", "shift-study"):
+        sub.choices[name].add_argument("--out", default=None, help="output directory (overrides config)")
     return parser
 
 
@@ -188,10 +191,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_shift_study(args) -> int:
     cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
-    if cfg.shift is None:
+    if cfg.shift_study is None:
         raise ConfigError("config has no shift_study section")
     model, sched = _load_checkpoint(args.checkpoint)
-    rows = run_shift_study(model, sched, cfg.reward, cfg.prior, cfg.shift, cfg.seed)
+    rows = run_shift_study(model, sched, cfg.reward, cfg.prior, cfg.shift_study, cfg.seed)
     out = _ensure_out(cfg.out_dir)
     csv_path = os.path.join(out, "shift.csv")
     write_csv(csv_path, SHIFT_COLUMNS, rows)

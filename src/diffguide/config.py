@@ -1,14 +1,14 @@
 """Experiment configuration: JSON schema and validation.
 
-A config file is a single JSON document with nested sections (see
-``example_config`` for the full shape).  One rule, ``_fields``, checks each
-section against the dataclass it builds: ``ExperimentConfig`` (the top
-level, ``schedule`` and ``model``), ``GmmSpec`` (``prior``), the reward
-its ``kind`` names (``reward``), ``TrainConfig`` (``train``),
-``ShiftStudyConfig`` (``shift_study``) or ``GuidancePoint`` (each sweep
-point and shift cell).  It refuses unknown keys and values of the wrong
-type, an absent key keeps the field's default, and the dataclass then
-checks the values.
+A config file is a single JSON document with nested sections (the
+README's "Configuration" block shows the full shape).  One rule,
+``_fields``, checks each section against the dataclass it builds:
+``ExperimentConfig`` (the top level, ``schedule`` and ``model``),
+``GmmSpec`` (``prior``), the reward its ``kind`` names (``reward``),
+``TrainConfig`` (``train``), ``ShiftStudyConfig`` (``shift_study``) or
+``GuidancePoint`` (each sweep point and shift cell).  It refuses unknown
+keys and values of the wrong type, an absent key keeps the field's
+default, and the dataclass then checks the values.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class ExperimentConfig:
     sweep: tuple[GuidancePoint, ...] = ()
     samples_per_point: int = 1000
     kl_samples: int = 1000
-    shift: ShiftStudyConfig | None = None
+    shift_study: ShiftStudyConfig | None = None
     seed: int = 0
     out_dir: str = "out"
 
@@ -163,7 +163,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         for i, point in enumerate(self.sweep):
             point.check_reward(self.reward, f"sweep[{i}]")
-        for i, cell in enumerate(self.shift.cells if self.shift else ()):
+        for i, cell in enumerate(self.shift_study.cells if self.shift_study else ()):
             cell.check_reward(self.reward, f"shift_study.cells[{i}]")
 
 
@@ -243,9 +243,9 @@ def _parse_point(entry, where: str) -> GuidancePoint:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     try:
-        # the top level holds the other fields, the shift study as shift_study
-        inner = {key for keys in _SECTIONS.values() for key in keys} | {"shift"}
-        top = [f.name for f in fields(ExperimentConfig) if f.name not in inner] + [*_SECTIONS, "shift_study"]
+        # the top level holds the fields outside the sections
+        inner = {key for keys in _SECTIONS.values() for key in keys}
+        top = [f.name for f in fields(ExperimentConfig) if f.name not in inner] + [*_SECTIONS]
         kwargs = _fields(raw, ExperimentConfig, "top-level", top)
         for name, keys in _SECTIONS.items():
             kwargs.update(_fields(kwargs.pop(name, {}), ExperimentConfig, name, keys))
@@ -256,10 +256,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         kwargs["train"] = TrainConfig(**_fields(kwargs.get("train", {}), TrainConfig, "train"))
         kwargs["sweep"] = tuple(_parse_point(p, f"sweep[{i}]") for i, p in enumerate(kwargs.get("sweep", ())))
         if "shift_study" in kwargs:
-            study = _fields(kwargs.pop("shift_study"), ShiftStudyConfig, "shift_study")
+            study = _fields(kwargs["shift_study"], ShiftStudyConfig, "shift_study")
             cells = enumerate(study["cells"])
             study["cells"] = tuple(_parse_point(c, f"shift_study.cells[{i}]") for i, c in cells)
-            kwargs["shift"] = ShiftStudyConfig(**study)
+            kwargs["shift_study"] = ShiftStudyConfig(**study)
         return ExperimentConfig(**kwargs)
     except ConfigError:
         raise
@@ -283,37 +283,3 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> Ex
         cfg = replace(cfg, out_dir=out_dir)
     return cfg
 
-
-def example_config() -> dict:
-    """A complete config document; also the schema reference."""
-    return {
-        "seed": 0,
-        "out_dir": "runs/demo",
-        "schedule": {"T": 1000, "beta_start": 1e-4, "beta_end": 0.02},
-        "model": {"hidden_width": 128, "embed_width": 32, "activation": "silu", "freq_base": 1000.0},
-        "prior": {
-            "weights": [1 / 3, 1 / 3, 1 / 3],
-            "means": [[5, 3], [3, 7], [7, 7]],
-            "sigma": 2.0,
-        },
-        "reward": {"kind": "gaussian", "mu": [14, 3], "sigma": 2.0},
-        "train": {"epochs": 200, "dataset_size": 100000, "batch_size": 1024, "lr": 1e-3, "seed": 0},
-        "sweep": [
-            {"method": "base"},
-            {"method": "best_of_n", "n_streams": 30},
-            {"method": "blockwise", "n_streams": 4, "block_size": 100},
-            {"method": "stepwise", "n_streams": 2},
-            {"method": "grad", "scale": 5.0},
-        ],
-        "samples_per_point": 1000,
-        "kl_samples": 1000,
-        "shift_study": {
-            "displacements": [0, 2, 4, 6, 8, 10, 12],
-            "runs_per_cell": 500,
-            "cells": [
-                {"method": "best_of_n", "n_streams": 50},
-                {"method": "stepwise", "n_streams": 50},
-                {"method": "blockwise_ref", "n_streams": 50, "block_size": 80, "eta": 0.6},
-            ],
-        },
-    }

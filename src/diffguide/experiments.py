@@ -3,9 +3,10 @@
 Row schemas are the fields of ``MetricsRow`` for trade-off sweeps and of
 ``ShiftRow`` for the displacement study (``SWEEP_COLUMNS`` and
 ``SHIFT_COLUMNS`` list them); each cell is written and read by its field's
-type.  CSV output is deterministic for a given config and checkpoint;
-measured wall times therefore go to the JSON summary only and the
-``wall_ms`` CSV column is left empty.
+type, and ``read_csv`` reads these two schemas only.  CSV output is
+deterministic for a given config and checkpoint; measured wall times
+therefore go to the JSON summary only and the ``wall_ms`` CSV column is
+left empty.  The summary writes a non-finite number as null.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import math
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -221,7 +223,6 @@ class ShiftRow(_CsvRow):
 
 SWEEP_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 SHIFT_COLUMNS = tuple(f.name for f in fields(ShiftRow))
-_COLUMN_TYPES = {f.name: f.type for row in (MetricsRow, ShiftRow) for f in fields(row)}
 
 
 def shifted_reward(spec: RewardSpec, prior: GmmSpec, displacement: float) -> RewardSpec:
@@ -287,19 +288,26 @@ def write_csv(path, columns, rows) -> None:
 
 
 def read_csv(path) -> tuple[list[str], list[dict]]:
-    """Parse a harness CSV back into header plus per-row dicts.
+    """Parse a sweep or shift-study CSV back into header plus per-row dicts.
 
-    Each cell is parsed by its column's field type, an empty number
-    (``wall_ms``) as NaN; a column of no harness row stays text.  An empty
-    file, or a row whose cell count differs from the header's, is refused
-    with a ``ValueError`` that names the line.
+    The header must be ``SWEEP_COLUMNS`` or ``SHIFT_COLUMNS`` exactly, in
+    order; its first column selects which (``displacement`` the shift
+    schema, any other the sweep schema).  Each cell is parsed by its row
+    field's type, an empty number (``wall_ms``) as NaN.  Any other header,
+    an empty file, or a row whose cell count differs from the header's, is
+    refused with a ``ValueError`` that names the line, and for a header the
+    first column that differs from the schema.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path} line 1: empty file, expected a header")
-        kinds = [_COLUMN_TYPES.get(key, "str") for key in header]
+        schema = fields(ShiftRow if header[:1] == [SHIFT_COLUMNS[0]] else MetricsRow)
+        for i, pair in enumerate(zip_longest(header, (f.name for f in schema))):
+            if pair[0] != pair[1]:
+                found, want = ("no column" if col is None else repr(col) for col in pair)
+                raise ValueError(f"{path} line 1: CSV schema mismatch at column {i}: expected {want}, found {found}")
         out = []
         for values in reader:
             if len(values) != len(header):
@@ -308,8 +316,8 @@ def read_csv(path) -> tuple[list[str], list[dict]]:
                 )
             out.append(
                 {
-                    key: math.nan if val == "" and kind != "str" else _PARSE[kind](val)
-                    for key, kind, val in zip(header, kinds, values)
+                    f.name: math.nan if val == "" and f.type != "str" else _PARSE[f.type](val)
+                    for f, val in zip(schema, values)
                 }
             )
     return header, out
@@ -319,6 +327,9 @@ def summary_payload(cfg: ExperimentConfig, rows: list[MetricsRow]) -> dict:
     def clean(value):
         if isinstance(value, np.ndarray):
             return value.tolist()
+        if isinstance(value, float) and not math.isfinite(value):
+            # JSON (RFC 8259) has no NaN or infinity
+            return None
         if isinstance(value, dict):
             return {k: clean(v) for k, v in value.items()}
         if isinstance(value, (list, tuple)):

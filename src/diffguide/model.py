@@ -374,14 +374,20 @@ def _eps_and_vjp(model: EpsModel, rows, t, sched: NoiseSchedule, cotangent):
     Per padded chunk the model runs once: its output gives the chunk's
     noise, ``cotangent(chunk, eps_rows)`` its cotangent rows (``chunk`` is
     the slice of the rows it holds), and the backward pass reuses the
-    chunk's activations and exponentials.
+    chunk's activations and exponentials.  ``cotangent`` runs with an empty
+    set of scratch buffers, so a model it evaluates leaves the chunk's
+    buffers as they were.
     """
     eps, cots, vjp = (np.empty(rows.shape) for _ in range(3))
     g = _buffer("g", 2)
     for lo, m, _, na1, d1, na2, d2, y in _hidden_chunks(model, rows, t, sched):
         chunk = slice(lo, lo + m)
         eps[chunk] = y[:m]
-        cots[chunk] = cotangent(chunk, eps[chunk])
+        buffers, _scratch.buffers = _scratch.buffers, {}
+        try:
+            cots[chunk] = cotangent(chunk, eps[chunk])
+        finally:
+            _scratch.buffers = buffers
         _, dz1 = _backward(model, _padded("cot", cots[chunk]), m, na1, d1, na2, d2)
         np.matmul(dz1, model.w1[:2].T, out=g)
         np.divide(g[:m], model.in_scale, out=vjp[chunk])
@@ -475,8 +481,9 @@ def eps_and_input_grad(model, x, t, sched: NoiseSchedule, cotangent_of):
     cotangent, each with the bits the separate calls give.  An ``EpsModel``
     runs its hidden layers once for all three, calling ``cotangent_of`` on
     the rows of one chunk at a time, so row i of its result may depend only
-    on row i of ``x`` and of ``eps``.  This default composes ``predict_eps``
-    and ``input_grad``.
+    on row i of ``x`` and of ``eps``.  ``cotangent_of`` may itself evaluate
+    a model, this one included.  This default composes ``predict_eps`` and
+    ``input_grad``.
     """
     eps = predict_eps(model, x, t, sched)
     cot = cotangent_of(np.asarray(x, dtype=np.float64), eps)

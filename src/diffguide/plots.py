@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .experiments import SHIFT_COLUMNS, SWEEP_COLUMNS, read_csv
+from .experiments import SWEEP_COLUMNS, read_csv
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 40, 50
@@ -149,39 +149,25 @@ def _grouped(rows, x_key, y_key):
     return series
 
 
-def _check_header(header, expected):
-    for i, col in enumerate(expected):
-        if i >= len(header) or header[i] != col:
-            found = header[i] if i < len(header) else "<missing>"
-            raise ValueError(f"CSV schema mismatch at column {i}: expected {col!r}, found {found!r}")
-    if len(header) > len(expected):
-        raise ValueError(f"CSV schema mismatch: unexpected column {header[len(expected)]!r}")
-
-
 def plot_csv(csv_path, out_dir) -> list[str]:
-    """Render the standard figures for a harness CSV; returns written paths."""
+    """Render the standard figures for a sweep or shift-study CSV (the two
+    schemas ``read_csv`` reads); returns written paths."""
     import os
 
     header, rows = read_csv(csv_path)
     written = []
-    if header[:2] == list(SWEEP_COLUMNS[:2]):
-        _check_header(header, SWEEP_COLUMNS)
+    if header == list(SWEEP_COLUMNS):
         figures = [
             ("win_rate_vs_kl.svg", "kl_fit", "win_rate", "fitted KL divergence", "win rate", "Win rate vs divergence"),
             ("reward_vs_kl.svg", "kl_fit", "normalized_reward", "fitted KL divergence", "normalized expected reward", "Reward vs divergence"),
         ]
-    elif header[:2] == list(SHIFT_COLUMNS[:2]):
-        _check_header(header, SHIFT_COLUMNS)
+    else:  # the shift schema, the only other one read_csv reads
         for row in rows:
             row["log10_var"] = math.log10(max(row["variance_x"] + row["variance_y"], 1e-300))
         figures = [
             ("reward_vs_shift.svg", "displacement", "mean_reward", "reward displacement", "mean reward", "Reward vs displacement"),
             ("variance_vs_shift.svg", "displacement", "log10_var", "reward displacement", "log10 total variance", "Output variance vs displacement"),
         ]
-    else:
-        raise ValueError(
-            f"CSV schema mismatch: first column {header[0]!r} matches neither sweep nor shift schema"
-        )
     for name, xk, yk, xl, yl, title in figures:
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:

@@ -63,17 +63,17 @@ def build_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.
     return schedule_from_beta(np.linspace(beta_start, beta_end, int(T)))
 
 
-def _check_t(t, T: int, low: int = 1):
-    """``t`` as an array, checked to be integral and within ``[low, T]``."""
-    if type(t) is int and low <= t <= T:
+def _check_t(t, T: int):
+    """``t`` as an array, checked to be integral and within ``[1, T]``."""
+    if type(t) is int and 1 <= t <= T:
         # the samplers' step loops pass plain ints; ``bool`` is not ``int``
         # here, so it still meets the dtype check below
         return np.asarray(t)
     t = np.asarray(t)
     if t.dtype.kind not in "iu":
         raise ValueError(f"step index must be integral, got dtype {t.dtype}")
-    if np.any(t < low) or np.any(t > T):
-        raise ValueError(f"step index out of range [{low}, {T}]: {t}")
+    if np.any(t < 1) or np.any(t > T):
+        raise ValueError(f"step index out of range [1, {T}]: {t}")
     return t
 
 

@@ -169,6 +169,17 @@ class TestSampleAndGuide:
         assert captured.out == ""
         assert f"scale must be a finite number >= 0, got {float(scale)}" in captured.err
 
+    def test_guide_has_no_out_option(self, trained, tmp_path):
+        """``guide`` prints its sample and writes no files, so ``--out`` is a
+        usage error, not a flag it ignores."""
+        path, _, ckpt = trained
+        code = main(
+            ["guide", "--config", str(path), "--checkpoint", str(ckpt),
+             "--method", "base", "--out", str(tmp_path / "x")]
+        )
+        assert code == 2
+        assert not (tmp_path / "x").exists()
+
     def test_guide_missing_checkpoint(self, trained):
         path, _, _ = trained
         code = main(
@@ -191,6 +202,26 @@ class TestSweepCommand:
         # second run must reproduce the CSV byte for byte
         assert main(["sweep", "--config", str(path), "--checkpoint", str(ckpt)]) == 0
         assert csv_path.read_bytes() == first
+
+    def test_summary_is_strict_json(self, trained, tmp_path):
+        """A ``grad`` row's NaN ``kl_bound`` is written as null: JSON has no
+        NaN token, and a strict parser reads the file."""
+        _, cfg, ckpt = trained
+        # this three-epoch model's guided chains diverge from scale 0.01 up;
+        # a grad row's kl_bound is NaN at every scale
+        cfg = dict(cfg, sweep=[{"method": "base"}, {"method": "grad", "scale": 0.0}])
+        path = tmp_path / "grad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--checkpoint", str(ckpt)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        text = (tmp_path / "out" / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=refuse)
+        assert summary["rows"][1]["method"] == "grad"
+        assert summary["rows"][1]["kl_bound"] is None
+        assert summary["config"]["shift_study"]["runs_per_cell"] == 12
 
     def test_unknown_method_rejected(self, trained, tmp_path, capsys):
         _, cfg, ckpt = trained
@@ -280,6 +311,16 @@ def test_console_script_target_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["diffguide", "--help"])
     assert target() == 0
     assert capsys.readouterr().out.startswith("usage: diffguide ")
+
+
+def test_readme_library_layout_lists_every_module():
+    """The README's "Library layout" table lists each module of the package
+    but ``__init__``, and no other."""
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("\n## Library layout\n", 1)[1]
+    listed = re.findall(r"^\| `diffguide\.(\w+)` \|", section, re.M)
+    modules = {p.stem for p in (root / "src" / "diffguide").glob("*.py")} - {"__init__"}
+    assert sorted(listed) == sorted(modules)
 
 
 def test_readme_synopsis_names_only_parser_options():

@@ -10,14 +10,16 @@ import pytest
 
 from diffguide import build_linear_schedule, cli, experiments, init_model
 from diffguide.cli import main
-from diffguide.config import (
-    ExperimentConfig,
-    ShiftStudyConfig,
-    config_from_dict,
-    example_config,
-)
+from diffguide.config import METHODS, ExperimentConfig, ShiftStudyConfig, config_from_dict
 from diffguide.model import save_checkpoint
 from diffguide.training import TrainConfig
+
+
+def readme_config() -> dict:
+    """The README's config example, the one reference config document."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    return json.loads(block)
 
 
 def base_config(tmp_path) -> dict:
@@ -111,10 +113,6 @@ class TestUnknownKeys:
         (cfg if section is None else cfg[section])[key] = 1
         assert run(tmp_path, cfg, "train") == 2
         assert f"unknown {where} keys: [{key!r}]" in capsys.readouterr().err
-
-    def test_example_config_is_accepted(self):
-        cfg = config_from_dict(example_config())
-        assert len(cfg.sweep) == 5 and cfg.shift is not None
 
 
 class TestFieldsTheMethodIgnores:
@@ -431,23 +429,23 @@ class TestDefaults:
         assert len(fields(TrainConfig)) == 5
         study = {"displacements": [0.0], "cells": [{"method": "base"}]}
         cfg = config_from_dict({"sweep": [{"method": "base"}], "shift_study": study})
-        assert cfg.shift.runs_per_cell == next(
+        assert cfg.shift_study.runs_per_cell == next(
             f.default for f in fields(ShiftStudyConfig) if f.name == "runs_per_cell"
         )
 
     def test_equal_documents_give_equal_configs(self):
         """Two loads of one document compare and hash equal, arrays and all;
         a different reward centre compares unequal."""
-        a, b = config_from_dict(example_config()), config_from_dict(example_config())
+        a, b = config_from_dict(readme_config()), config_from_dict(readme_config())
         assert a == b and hash(a) == hash(b)
-        doc = example_config()
+        doc = readme_config()
         doc["reward"]["mu"] = [14, 4]
         assert config_from_dict(doc) != a
 
 
 def test_readme_config_example_loads():
-    """The README's config example is a config the schema accepts."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
-    cfg = config_from_dict(json.loads(block))
-    assert cfg.sweep and cfg.shift is not None
+    """The README's config example is a config the schema accepts, and its
+    sweep points and shift cells together show every method."""
+    cfg = config_from_dict(readme_config())
+    assert cfg.shift_study is not None
+    assert {p.method for p in cfg.sweep + cfg.shift_study.cells} == set(METHODS)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -344,6 +345,24 @@ class TestCsvIo:
                     assert math.isnan(got)
                 else:
                     assert got == want
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("x,y", "column 0: expected 'method', found 'x'"),
+            ("displacement,method,n", "column 3: expected 'b', found no column"),
+            (",".join(SWEEP_COLUMNS) + ",extra", "column 16: expected no column, found 'extra'"),
+            (",".join(SHIFT_COLUMNS).replace("runs", "count"), "column 5: expected 'runs', found 'count'"),
+        ],
+    )
+    def test_refuses_a_header_of_neither_schema(self, tmp_path, header, message):
+        """Only the two harness schemas are read, exactly and in order; the
+        message names the first column that differs from the schema the
+        first column selects."""
+        path = tmp_path / "other.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=f"line 1: CSV schema mismatch at {re.escape(message)}$"):
+            read_csv(path)
 
 
 def test_summary_echoes_the_checked_numbers():

@@ -449,6 +449,25 @@ class TestEpsAndInputGrad:
         np.testing.assert_array_equal(cot, want_cot)
         np.testing.assert_array_equal(vjp, input_grad(model, x, t, sched, want_cot))
 
+    def test_cotangent_may_evaluate_a_model(self):
+        """A cotangent that evaluates another model between a chunk's
+        forward and backward passes leaves the chunk's scratch buffers as
+        they were: the three results keep the bits of the separate calls."""
+        sched = build_linear_schedule(100)
+        model = init_model(16, 8, seed=4, in_shift=[1.0, -2.0], in_scale=2.5)
+        other = init_model(16, 8, seed=9)
+        x = np.random.default_rng(3).normal(scale=3.0, size=(2 * model_module.CHUNK_ROWS + 5, 2))
+
+        def cotangent_of(x, eps):
+            return predict_eps(other, x, 20, sched) - eps
+
+        eps, cot, vjp = eps_and_input_grad(model, x, 20, sched, cotangent_of)
+        want_eps = predict_eps(model, x, 20, sched)
+        want_cot = cotangent_of(x, want_eps)
+        np.testing.assert_array_equal(eps, want_eps)
+        np.testing.assert_array_equal(cot, want_cot)
+        np.testing.assert_array_equal(vjp, input_grad(model, x, 20, sched, want_cot))
+
     def test_single_point(self):
         sched = build_linear_schedule(100)
         model = init_model(16, 8, seed=4)
