@@ -35,16 +35,30 @@ streams, so a selection run evaluates one model row per stream and step
 (one per run at its first step).  A row's prediction does not depend on
 the batch it is evaluated in, so this reuse gives the bits a fresh
 evaluation of every stream would.
+
+Threads: ``base_sample`` and ``blockwise_batch`` cut their runs into
+contiguous slices and roll each slice out on its own thread, the first in
+the calling one (``_split_runs``).  The slice count is worked out from the
+inputs (``_workers``): one per CPU that BLAS leaves free, so with the
+default multi-threaded OpenBLAS there is one slice, and never fewer than
+``2 * CHUNK_ROWS`` model rows per step or one run per slice.  Runs share
+nothing but the model, and each thread has its own model scratch buffers,
+so every sample and counter keeps its bits.  ``grad_guided_batch`` stays on
+one thread: its batch stops at the first step any run diverges, which
+couples its runs.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import streams
-from .model import eps_and_input_grad, predict_eps
+from .model import CHUNK_ROWS, eps_and_input_grad, predict_eps
 from .rewards import (
     GaussianReward,
     RewardSpec,
@@ -80,10 +94,58 @@ class RunCounters:
 
 
 def _as_seed_array(seeds) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))
-    if arr.ndim != 1:
+    """The run seeds as a 1-d uint64 array.  Refuses (``ValueError``) any
+    entry that is not a seed under ``streams.is_seed``, naming the first."""
+    entries = np.atleast_1d(np.asarray(seeds, dtype=object))
+    if entries.ndim != 1:
         raise ValueError("seeds must be a scalar or a 1-d sequence")
-    return arr
+    for seed in entries:
+        if not streams.is_seed(seed):
+            raise ValueError(f"every seed must be an integer in [0, 2^64), got {seed!r}")
+    return entries.astype(np.uint64)
+
+
+def _blas_threads(cpus: int) -> int:
+    """The thread budget BLAS reads at load: ``OPENBLAS_NUM_THREADS``, else
+    ``OMP_NUM_THREADS``; one thread per CPU when neither is set or the value
+    is no positive integer."""
+    value = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    try:
+        threads = int(value)
+    except (TypeError, ValueError):
+        return cpus
+    return threads if threads >= 1 else cpus
+
+
+def _workers(rows: int, runs: int) -> int:
+    """Slices to split a batch of ``runs`` runs into, ``rows`` model rows per
+    step: one per free share of the CPUs after BLAS takes its threads, at
+    least two model chunks (``2 * CHUNK_ROWS`` rows) each, at most one per
+    run.  With one chunk per slice the threads' lock handoffs cost more
+    than the second CPU gives: two slices of 200 rows were slower than one
+    of 400 on a 2-vCPU Xeon."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus // _blas_threads(cpus), rows // (2 * CHUNK_ROWS), runs))
+
+
+def _split_runs(rollout, runs: int, rows: int) -> list:
+    """``rollout(lo, hi)`` over ``_workers(rows, runs)`` contiguous slices of
+    the runs, results in run order.
+
+    The first slice runs in the calling thread, every other on a worker
+    thread under a copy of the caller's context (so ``np.errstate`` holds
+    there).  An exception in any slice reaches the caller once every slice
+    has ended.
+    """
+    count = _workers(rows, runs)
+    bounds = [runs * k // count for k in range(count + 1)]
+    with ThreadPoolExecutor(max_workers=max(1, count - 1)) as pool:
+        rest = [
+            pool.submit(contextvars.copy_context().run, rollout, lo, hi)
+            for lo, hi in zip(bounds[1:-1], bounds[2:])
+        ]
+        first = rollout(bounds[0], bounds[1])
+        return [first] + [future.result() for future in rest]
 
 
 def ddpm_step(model, sched: NoiseSchedule, x_t, t: int, noise):
@@ -103,11 +165,15 @@ def base_sample(model, sched: NoiseSchedule, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ids = np.arange(n)
-    x = streams.normal_pair(seed, streams.ROLE_INIT, ids, 0)
-    for t, noise in streams.step_noise(seed, ids, sched.T):
-        x = ddpm_step(model, sched, x, t, noise)
-    return ddpm_step(model, sched, x, 1, None)
+
+    def rollout(lo: int, hi: int) -> np.ndarray:
+        ids = np.arange(lo, hi)
+        x = streams.normal_pair(seed, streams.ROLE_INIT, ids, 0)
+        for t, noise in streams.step_noise(seed, ids, sched.T):
+            x = ddpm_step(model, sched, x, t, noise)
+        return ddpm_step(model, sched, x, 1, None)
+
+    return np.concatenate(_split_runs(rollout, n, n))
 
 
 def _block_bounds(top: int, block_size: int):
@@ -130,14 +196,15 @@ def _selection_rollout(
     seeds: np.ndarray,
     x_start: np.ndarray,
     top: int,
-    counters: RunCounters,
-) -> np.ndarray:
+) -> tuple[np.ndarray, RunCounters]:
     """Blockwise best-of-n core, vectorized over R independent runs.
 
     ``x_start`` holds each run's state at step ``top``; returns the R final
-    samples.  Stream n of run r draws its step-t noise from key
-    (seeds[r], STEP, t, n), so results do not depend on R or on scheduling.
+    samples and the per-run counters.  Stream n of run r draws its step-t
+    noise from key (seeds[r], STEP, t, n), so results do not depend on R or
+    on scheduling.
     """
+    counters = RunCounters()
     R = seeds.shape[0]
     N = n_streams
     stream_ids = np.arange(N)
@@ -166,7 +233,7 @@ def _selection_rollout(
         best = values.reshape(R, N).argmax(axis=1)
         x = flat.reshape(R, N, 2)[runs, best]
         eps_x = eps_hat.reshape(R, N, 2)[runs, best]
-    return x
+    return x, counters
 
 
 def blockwise_batch(
@@ -194,7 +261,6 @@ def blockwise_batch(
         raise ValueError(f"block_size must be in [1, {sched.T}], got {block_size}")
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"eta must be in (0, 1], got {eta}")
-    counters = RunCounters()
     R = seeds.shape[0]
     z = streams.normal_pair(seeds, streams.ROLE_INIT, 0, 0)  # (R, 2)
     if eta == 1.0:
@@ -213,10 +279,15 @@ def blockwise_batch(
             raise ValueError(f"x_refs must be (2,) or ({R}, 2), got {refs.shape}")
         ab = sched.alpha_bar[top]
         x_start = np.sqrt(ab) * refs + np.sqrt(1.0 - ab) * z
-    out = _selection_rollout(
-        model, sched, spec, n_streams, block_size, seeds, x_start, top, counters
-    )
-    return out, counters
+
+    def rollout(lo: int, hi: int):
+        return _selection_rollout(
+            model, sched, spec, n_streams, block_size, seeds[lo:hi], x_start[lo:hi], top
+        )
+
+    slices = _split_runs(rollout, R, R * n_streams)
+    # every slice counts the same per-run costs
+    return np.concatenate([x for x, _ in slices]), slices[0][1]
 
 
 def _endpoint_score(spec: GaussianReward, sched: NoiseSchedule, t: int):

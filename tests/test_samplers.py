@@ -1,6 +1,8 @@
 """Guided samplers: special-case reductions, selection logic, counters."""
 
 import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from diffguide import (
     posterior_mean,
     predict_eps,
 )
-from diffguide import input_grad, reward_grad, streams, tweedie_x0
+from diffguide import input_grad, reward_grad, samplers, streams, tweedie_x0
 from diffguide.analytic import MixtureEps
 from diffguide.config import GuidancePoint
 from diffguide.experiments import guided_batch
@@ -279,6 +281,153 @@ class TestBatchedRuns:
             blockwise_batch(MODEL, SCHED, REWARD, 2, 0, [0])
         with pytest.raises(ValueError):
             blockwise_batch(MODEL, SCHED, REWARD, 2, SCHED.T + 1, [0])
+
+
+class TestSeedChecks:
+    @pytest.mark.parametrize(
+        "seeds, shown",
+        [([1.5], "1.5"), ([True], "True"), (np.array([-1]), "-1"), ([0, -2, 1.5], "-2")],
+    )
+    def test_batch_samplers_refuse_a_seed_that_is_no_key(self, seeds, shown):
+        """A float, a bool or a negative seed is refused, not cast to a key;
+        the message names the first such entry."""
+        for run in (
+            lambda: blockwise_batch(MODEL, SCHED, REWARD, 2, 10, seeds),
+            lambda: grad_guided_batch(MODEL, SCHED, REWARD, 1.0, seeds),
+        ):
+            with pytest.raises(ValueError, match=rf"got {shown}$"):
+                run()
+
+    def test_the_largest_key_is_a_seed(self):
+        a, _ = blockwise_batch(MODEL, SCHED, REWARD, 2, 10, [2**64 - 1])
+        b, _ = blockwise_batch(MODEL, SCHED, REWARD, 2, 10, np.array([2**64 - 1], dtype=np.uint64))
+        np.testing.assert_array_equal(a, b)
+
+
+def split_into(monkeypatch, count):
+    """Makes every sampler batch split its runs into ``count`` slices."""
+    monkeypatch.setattr(samplers, "_workers", lambda rows, runs: count)
+
+
+class TestSplitRuns:
+    """A batch's runs split across threads keep their bits and counters."""
+
+    RUNS = [7, 2, 1, 0]  # not divisible by 2 or 3, fewer runs than slices, one, none
+
+    @staticmethod
+    def selection(runs, block, **kwargs):
+        seeds = [streams.derive_seed(905, i) for i in range(runs)]
+        return blockwise_batch(MODEL, SCHED, REWARD, 3, block, seeds, **kwargs)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("runs", RUNS)
+    @pytest.mark.parametrize("block", [SCHED.T, 1, 10], ids=["best_of_n", "stepwise", "blockwise"])
+    def test_selection_keeps_its_bits(self, monkeypatch, count, runs, block):
+        split_into(monkeypatch, 1)
+        want, want_counters = self.selection(runs, block)
+        split_into(monkeypatch, count)
+        got, counters = self.selection(runs, block)
+        assert got.shape == (runs, 2)
+        np.testing.assert_array_equal(got, want)
+        assert counters == want_counters
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("runs", RUNS)
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared_ref", "per_run_refs"])
+    def test_reference_start_keeps_its_bits(self, monkeypatch, count, runs, shared):
+        refs = [6.0, 4.0] if shared else np.arange(2.0 * runs).reshape(runs, 2)
+        split_into(monkeypatch, 1)
+        want, want_counters = self.selection(runs, 10, eta=0.6, x_refs=refs)
+        split_into(monkeypatch, count)
+        got, counters = self.selection(runs, 10, eta=0.6, x_refs=refs)
+        np.testing.assert_array_equal(got, want)
+        assert counters == want_counters
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("n", [7, 2, 1])
+    def test_base_sample_keeps_its_bits(self, monkeypatch, count, n):
+        split_into(monkeypatch, 1)
+        want = base_sample(MODEL, SCHED, n, seed=11)
+        split_into(monkeypatch, count)
+        np.testing.assert_array_equal(base_sample(MODEL, SCHED, n, seed=11), want)
+
+    def test_more_slices_than_cores_under_fast_switching(self, monkeypatch):
+        """Eight slices with a thread switch every microsecond: each thread
+        keeps its own model scratch buffers, so no run takes another's bits."""
+        seeds = [streams.derive_seed(906, i) for i in range(40)]
+        split_into(monkeypatch, 1)
+        want = blockwise_batch(MODEL, SCHED, REWARD, 4, 5, seeds)
+        split_into(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = blockwise_batch(MODEL, SCHED, REWARD, 4, 5, seeds)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        caller = threading.get_ident()
+
+        def failing(*args):
+            if threading.get_ident() != caller:
+                raise ArithmeticError("worker slice failed")
+            return predict_eps(*args)
+
+        split_into(monkeypatch, 2)
+        monkeypatch.setattr(samplers, "predict_eps", failing)
+        with pytest.raises(ArithmeticError, match="worker slice failed"):
+            self.selection(4, 10)
+
+    def test_workers_run_under_the_callers_errstate(self, monkeypatch):
+        seen = []
+
+        def recording(*args):
+            seen.append((threading.get_ident(), np.geterr()["divide"]))
+            return predict_eps(*args)
+
+        split_into(monkeypatch, 2)
+        monkeypatch.setattr(samplers, "predict_eps", recording)
+        with np.errstate(divide="raise"):
+            self.selection(4, 10)
+        assert len({ident for ident, _ in seen}) == 2
+        assert {mode for _, mode in seen} == {"raise"}
+
+
+class TestWorkerRule:
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(samplers.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        return monkeypatch
+
+    def test_one_blas_thread_on_two_cpus_gives_two(self, two_cpus):
+        assert samplers._workers(4 * CHUNK_ROWS, 100) == 2
+        assert samplers._workers(3000, 100) == 2
+
+    def test_fewer_than_two_chunks_of_rows_per_slice_give_one(self, two_cpus):
+        assert samplers._workers(2 * CHUNK_ROWS - 1, 100) == 1
+        assert samplers._workers(4 * CHUNK_ROWS - 1, 100) == 1
+        assert samplers._workers(0, 0) == 1
+
+    def test_a_slice_holds_at_least_one_run(self, two_cpus):
+        assert samplers._workers(3000, 1) == 1
+
+    def test_omp_budget_counts_when_openblas_is_unset(self, two_cpus):
+        two_cpus.delenv("OPENBLAS_NUM_THREADS")
+        two_cpus.setenv("OMP_NUM_THREADS", "1")
+        assert samplers._workers(3000, 100) == 2
+
+    @pytest.mark.parametrize("budget", [None, "2", "0", "many"])
+    def test_a_blas_budget_that_fills_the_cpus_gives_one(self, two_cpus, budget):
+        """Unset or unparsable counts one BLAS thread per CPU."""
+        if budget is None:
+            two_cpus.delenv("OPENBLAS_NUM_THREADS")
+        else:
+            two_cpus.setenv("OPENBLAS_NUM_THREADS", budget)
+        assert samplers._workers(3000, 100) == 1
 
 
 class TestNoisedReferenceStart:

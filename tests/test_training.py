@@ -117,7 +117,9 @@ class TestTrain:
         """The study-width model trained with one and with two BLAS threads
         has the same parameter bytes, and sampling with it gives the same
         bits: ``predict_eps`` and ``input_grad`` on a 1000-row batch, a
-        small blockwise batch and a small gradient-guided batch.  6000
+        small blockwise batch, a selection batch of 128 runs x 4 streams
+        (``4 * CHUNK_ROWS`` rows, which the one-thread process splits across
+        two CPUs when it has them) and a small gradient-guided batch.  6000
         examples in batches of 1024 leave an 880-row tail batch.  Each run
         is a fresh process, because the thread count is read when numpy is
         imported."""
@@ -143,7 +145,10 @@ class TestTrain:
             "              input_grad(trained, x, steps, sched, x)]))\n"
             "reward = GaussianReward(mu=[14.0, 3.0], sigma=2.0)\n"
             "print(digest([blockwise_batch(trained, sched, reward, 3, 100, list(range(12)))[0]]))\n"
+            "print(digest([blockwise_batch(trained, sched, reward, 4, 100, list(range(128)))[0]]))\n"
             "print(digest([grad_guided_batch(trained, sched, reward, 1.0, list(range(12)))[0]]))\n"
+            "from diffguide import samplers\n"
+            "print(samplers._workers(4 * 128, 128))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(diffguide.__file__)))
         digests = []
@@ -154,8 +159,11 @@ class TestTrain:
             )
             assert run.returncode == 0, run.stderr
             digests.append(run.stdout.split())
-        assert len(digests[0]) == 5
-        assert digests[0] == digests[1]
+        assert len(digests[0]) == 7
+        assert digests[0][:-1] == digests[1][:-1]
+        # the slices each run split the 128-run batch into
+        cpus = len(os.sched_getaffinity(0))
+        assert [d[-1] for d in digests] == [str(min(cpus, 2)), str(max(1, min(cpus // 2, 2)))]
 
     def test_smoke_training_reduces_loss(self):
         """CI-scale run (rescaled betas): loss drops well below its start."""
