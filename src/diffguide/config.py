@@ -73,6 +73,9 @@ class GuidancePoint:
                 uses = " and ".join(filter(None, (", ".join(methods[:-1]), methods[-1])))
                 needs = f"takes no {name}" if value is None else f"needs {name} = {value}"
                 raise ConfigError(f"{name} applies to {uses} only; {self.method} {needs}")
+        if self.method == "blockwise_ref" and self.eta == 1.0 and self.x_ref is not None:
+            # at eta = 1 the run starts from pure noise and never reads x_ref
+            raise ConfigError("x_ref applies to blockwise_ref with eta < 1 only; at eta = 1 it takes no x_ref")
 
     def check_reward(self, reward: RewardSpec, where: str) -> None:
         """Refuse a point that ``reward`` cannot serve, before any sampling:

@@ -23,7 +23,6 @@ import numpy as np
 from . import streams
 from .config import ExperimentConfig, GuidancePoint, ShiftStudyConfig
 from .metrics import (
-    GaussianFit,
     batch_variance,
     expected_reward,
     fit_gaussian,
@@ -32,7 +31,7 @@ from .metrics import (
     win_rate,
 )
 from .rewards import GaussianReward, RewardSpec, UnsupportedRewardError
-from .samplers import STATE_BOUND, RunCounters, base_sample, blockwise_batch, grad_guided_batch
+from .samplers import STATE_BOUND, RunCounters, base_sample, blockwise_batch, grad_guided_batch, out_of_bound
 from .schedule import NoiseSchedule
 from .training import GmmSpec, mixture_mean
 
@@ -53,22 +52,6 @@ def _diverged(point: GuidancePoint, what: str) -> GuidanceDivergedError:
     return GuidanceDivergedError(
         f"{point.method} batch (n={point.n_streams}, scale={point.scale!r}) diverged: {what}"
     )
-
-
-def _check_batch(point: GuidancePoint, samples: np.ndarray, fit_rows: int | None = None) -> GaussianFit:
-    """Refuse a batch with a sample that is not finite or has a coordinate
-    beyond ``STATE_BOUND``, the bound gradient guidance applies at every
-    step; return the Gaussian fit of the first ``fit_rows`` samples (all by
-    default), the rows a sweep's KL column uses.
-
-    Within the bound that fit is finite and positive-definite, because
-    ``fit_gaussian``'s ridge scales with the covariance's trace.
-    """
-    # NaN fails the comparison too
-    bad = int(np.sum(~np.all(np.abs(samples) <= STATE_BOUND, axis=1)))
-    if bad:
-        raise _diverged(point, f"{bad} of {len(samples)} samples left the bound |x| <= {STATE_BOUND:g}")
-    return fit_gaussian(samples[:fit_rows])
 
 
 # CSV cell format and parser by declared field type (annotations are strings
@@ -134,23 +117,35 @@ def guided_batch(
 ) -> tuple[np.ndarray, RunCounters]:
     """``count`` runs of ``point`` from the row seed ``row_seed`` and their
     compute counters; ``block`` is the point's block resolved for ``sched``
-    (``GuidancePoint.resolved_block``)."""
+    (``GuidancePoint.resolved_block``).
+
+    Once the sampler has returned, raises ``GuidanceDivergedError`` for a
+    gradient batch that stopped at the bound (naming the step), and for any
+    batch with a sample that is not finite or has a coordinate beyond
+    ``STATE_BOUND``.  Within the bound a batch's Gaussian fit is finite and
+    positive-definite, because ``fit_gaussian``'s ridge scales with the
+    covariance's trace.
+    """
     if point.method == "base":
-        return base_sample(model, sched, count, row_seed), RunCounters(model_evals=sched.T)
-    run_seeds = _run_seeds(row_seed, count)
-    if point.method == "grad":
-        out, counters = grad_guided_batch(model, sched, spec, point.scale, run_seeds)
+        out, counters = base_sample(model, sched, count, row_seed), RunCounters(model_evals=sched.T)
+    elif point.method == "grad":
+        out, counters = grad_guided_batch(model, sched, spec, point.scale, _run_seeds(row_seed, count))
         if counters.stopped_at is not None:
             raise _diverged(
                 point,
                 f"a state left the bound |x| <= {STATE_BOUND:g} at step t={counters.stopped_at} "
                 f"of the reverse chain t={sched.T}..1",
             )
-        return out, counters
-    x_refs = None
-    if point.method == "blockwise_ref" and point.eta < 1.0:
-        x_refs = point.x_ref if point.x_ref is not None else _draw_refs(spec, run_seeds)
-    return blockwise_batch(model, sched, spec, point.n_streams, block, run_seeds, eta=point.eta, x_refs=x_refs)
+    else:
+        run_seeds = _run_seeds(row_seed, count)
+        x_refs = None
+        if point.method == "blockwise_ref" and point.eta < 1.0:
+            x_refs = point.x_ref if point.x_ref is not None else _draw_refs(spec, run_seeds)
+        out, counters = blockwise_batch(model, sched, spec, point.n_streams, block, run_seeds, eta=point.eta, x_refs=x_refs)
+    bad = int(np.sum(out_of_bound(out)))
+    if bad:
+        raise _diverged(point, f"{bad} of {len(out)} samples left the bound |x| <= {STATE_BOUND:g}")
+    return out, counters
 
 
 def run_sweep(
@@ -165,7 +160,7 @@ def run_sweep(
     """Evaluate each guidance point against a shared base batch.
 
     Raises ``GuidanceDivergedError`` for a point whose batch left
-    ``STATE_BOUND`` (see ``_check_batch``), instead of writing a row of NaN
+    ``STATE_BOUND`` (see ``guided_batch``), instead of writing a row of NaN
     metrics.
     """
     blocks = [point.resolved_block(sched.T, f"sweep[{i}]") for i, point in enumerate(points)]
@@ -181,8 +176,6 @@ def run_sweep(
         t0 = time.perf_counter()
         guided, counters = guided_batch(model, sched, spec, point, block, row_seed, samples_per_point)
         wall = (time.perf_counter() - t0) * 1e3
-        kl_n = min(kl_samples, samples_per_point)
-        guided_kl_fit = _check_batch(point, guided, kl_n)
         vx, vy = batch_variance(guided)
         reward = expected_reward(guided, spec)
         rows.append(
@@ -196,7 +189,7 @@ def run_sweep(
                 expected_reward=reward,
                 normalized_reward=reward / base_mean_reward,
                 win_rate=win_rate(guided, base_pair, spec),
-                kl_fit=gaussian_kl(guided_kl_fit, base_kl_fit),
+                kl_fit=gaussian_kl(fit_gaussian(guided[:kl_samples]), base_kl_fit),
                 kl_bound=kl_upper_bound(point.method, point.n_streams, block, sched.T, point.eta),
                 variance_x=vx,
                 variance_y=vy,
@@ -246,7 +239,7 @@ def run_shift_study(
     """Mean reward and output variance per (displacement, method cell).
 
     Raises ``GuidanceDivergedError`` for a cell whose batch left
-    ``STATE_BOUND`` (see ``_check_batch``).
+    ``STATE_BOUND`` (see ``guided_batch``).
     """
     blocks = [cell.resolved_block(sched.T, f"shift_study.cells[{i}]") for i, cell in enumerate(study.cells)]
     rows = []
@@ -255,7 +248,6 @@ def run_shift_study(
         for ci, (cell, block) in enumerate(zip(study.cells, blocks)):
             row_seed = streams.derive_seed(seed, _TAG_SHIFT, di, ci)
             guided, _ = guided_batch(model, sched, local, cell, block, row_seed, study.runs_per_cell)
-            _check_batch(cell, guided)
             vx, vy = batch_variance(guided)
             rows.append(
                 ShiftRow(
@@ -293,10 +285,11 @@ def read_csv(path) -> tuple[list[str], list[dict]]:
     The header must be ``SWEEP_COLUMNS`` or ``SHIFT_COLUMNS`` exactly, in
     order; its first column selects which (``displacement`` the shift
     schema, any other the sweep schema).  Each cell is parsed by its row
-    field's type, an empty number (``wall_ms``) as NaN.  Any other header,
-    an empty file, or a row whose cell count differs from the header's, is
-    refused with a ``ValueError`` that names the line, and for a header the
-    first column that differs from the schema.
+    field's type, the empty ``wall_ms`` cell as NaN.  Any other header,
+    an empty file, a row whose cell count differs from the header's, or a
+    cell its type cannot parse (any other empty number among them) is
+    refused with a ``ValueError`` that names the line, and for a header or
+    a cell the column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -314,12 +307,13 @@ def read_csv(path) -> tuple[list[str], list[dict]]:
                 raise ValueError(
                     f"{path} line {reader.line_num}: {len(values)} cells, the header has {len(header)}"
                 )
-            out.append(
-                {
-                    f.name: math.nan if val == "" and f.type != "str" else _PARSE[f.type](val)
-                    for f, val in zip(schema, values)
-                }
-            )
+            row = {}
+            for f, val in zip(schema, values):
+                try:
+                    row[f.name] = math.nan if val == "" and f.name == "wall_ms" else _PARSE[f.type](val)
+                except ValueError:
+                    raise ValueError(f"{path} line {reader.line_num}: column {f.name!r}: {val!r} is no {f.type}") from None
+            out.append(row)
     return header, out
 
 

@@ -28,7 +28,10 @@ still a function of its key alone.
 Counters: ``model_evals`` counts denoising forward passes per run (streams x
 steps); the model call inside an endpoint value estimate is part of that
 reward query and is tallied in ``reward_queries`` instead.  The counts are
-the methods' nominal costs, not the rows the model evaluates.  A block's
+the methods' nominal costs, not the rows the model evaluates, and
+``blockwise_batch`` reads them off its block schedule (``_block_bounds``):
+``n_streams`` forward passes per denoised step and ``n_streams`` reward
+queries per block, the same for every run of the batch.  A block's
 value estimate predicts the noise of every candidate at the next step, and
 the next block starts from the winner's prediction repeated over its
 streams, so a selection run evaluates one model row per stream and step
@@ -43,7 +46,7 @@ inputs (``_workers``): one per CPU that BLAS leaves free, so with the
 default multi-threaded OpenBLAS there is one slice, and never fewer than
 ``2 * CHUNK_ROWS`` model rows per step or one run per slice.  Runs share
 nothing but the model, and each thread has its own model scratch buffers,
-so every sample and counter keeps its bits.  ``grad_guided_batch`` stays on
+so every sample keeps its bits.  ``grad_guided_batch`` stays on
 one thread: its batch stops at the first step any run diverges, which
 couples its runs.
 """
@@ -79,6 +82,13 @@ from .schedule import NoiseSchedule, posterior_mean, tweedie_x0
 STATE_BOUND = 1e6
 
 
+def out_of_bound(x: np.ndarray) -> np.ndarray:
+    """Per row of the (R, 2) states ``x``: whether it has diverged, that is
+    whether it is not finite or has a coordinate beyond ``STATE_BOUND``."""
+    # NaN fails the comparison too
+    return ~np.all(np.abs(x) <= STATE_BOUND, axis=1)
+
+
 @dataclass
 class RunCounters:
     """Per-run instrumentation; identical across the runs of one batch.
@@ -93,6 +103,12 @@ class RunCounters:
     stopped_at: int | None = None
 
 
+def _check_seed(seed) -> None:
+    """Refuse (``ValueError``) a seed that is not one under ``streams.is_seed``."""
+    if not streams.is_seed(seed):
+        raise ValueError(f"every seed must be an integer in [0, 2^64), got {seed!r}")
+
+
 def _as_seed_array(seeds) -> np.ndarray:
     """The run seeds as a 1-d uint64 array.  Refuses (``ValueError``) any
     entry that is not a seed under ``streams.is_seed``, naming the first."""
@@ -100,8 +116,7 @@ def _as_seed_array(seeds) -> np.ndarray:
     if entries.ndim != 1:
         raise ValueError("seeds must be a scalar or a 1-d sequence")
     for seed in entries:
-        if not streams.is_seed(seed):
-            raise ValueError(f"every seed must be an integer in [0, 2^64), got {seed!r}")
+        _check_seed(seed)
     return entries.astype(np.uint64)
 
 
@@ -128,9 +143,9 @@ def _workers(rows: int, runs: int) -> int:
     return max(1, min(cpus // _blas_threads(cpus), rows // (2 * CHUNK_ROWS), runs))
 
 
-def _split_runs(rollout, runs: int, rows: int) -> list:
+def _split_runs(rollout, runs: int, rows: int) -> np.ndarray:
     """``rollout(lo, hi)`` over ``_workers(rows, runs)`` contiguous slices of
-    the runs, results in run order.
+    the runs, its samples concatenated in run order.
 
     The first slice runs in the calling thread, every other on a worker
     thread under a copy of the caller's context (so ``np.errstate`` holds
@@ -145,7 +160,7 @@ def _split_runs(rollout, runs: int, rows: int) -> list:
             for lo, hi in zip(bounds[1:-1], bounds[2:])
         ]
         first = rollout(bounds[0], bounds[1])
-        return [first] + [future.result() for future in rest]
+        return np.concatenate([first] + [future.result() for future in rest])
 
 
 def ddpm_step(model, sched: NoiseSchedule, x_t, t: int, noise):
@@ -165,6 +180,7 @@ def base_sample(model, sched: NoiseSchedule, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_seed(seed)
 
     def rollout(lo: int, hi: int) -> np.ndarray:
         ids = np.arange(lo, hi)
@@ -173,7 +189,7 @@ def base_sample(model, sched: NoiseSchedule, n: int, seed: int) -> np.ndarray:
             x = ddpm_step(model, sched, x, t, noise)
         return ddpm_step(model, sched, x, 1, None)
 
-    return np.concatenate(_split_runs(rollout, n, n))
+    return _split_runs(rollout, n, n)
 
 
 def _block_bounds(top: int, block_size: int):
@@ -192,32 +208,29 @@ def _selection_rollout(
     sched: NoiseSchedule,
     spec: RewardSpec,
     n_streams: int,
-    block_size: int,
+    blocks: list,
     seeds: np.ndarray,
     x_start: np.ndarray,
-    top: int,
-) -> tuple[np.ndarray, RunCounters]:
+) -> np.ndarray:
     """Blockwise best-of-n core, vectorized over R independent runs.
 
-    ``x_start`` holds each run's state at step ``top``; returns the R final
-    samples and the per-run counters.  Stream n of run r draws its step-t
-    noise from key (seeds[r], STEP, t, n), so results do not depend on R or
-    on scheduling.
+    ``x_start`` holds each run's state at the first block's top step;
+    returns the R final samples.  Stream n of run r draws its step-t noise
+    from key (seeds[r], STEP, t, n), so results do not depend on R or on
+    scheduling.
     """
-    counters = RunCounters()
     R = seeds.shape[0]
     N = n_streams
-    stream_ids = np.arange(N)
     runs = np.arange(R)
+    top = blocks[0][0]
     x = x_start
-    noise = streams.step_noise(seeds[:, None], stream_ids[None, :], top)
+    noise = streams.step_noise(seeds[:, None], np.arange(N)[None, :], top)
     eps_x = predict_eps(model, x, top, sched)
-    for t_hi, t_lo in _block_bounds(top, block_size):
+    for t_hi, t_lo in blocks:
         # the streams of a run all start the block from its state
         flat = np.repeat(x, N, axis=0)
         eps_hat = np.repeat(eps_x, N, axis=0)
         for t in range(t_hi, t_lo - 1, -1):
-            counters.model_evals += N
             mu = posterior_mean(flat, eps_hat, t, sched)
             if t > 1:
                 _, z = next(noise)
@@ -228,12 +241,11 @@ def _selection_rollout(
         # eps_hat predicts the endpoints' noise at t_lo - 1: the value
         # estimate scores it, and the winner's starts the next block
         values = np.asarray(value_given_eps(spec, sched, flat, t_lo - 1, eps_hat))
-        counters.reward_queries += N
         # argmax returns the first maximum, i.e. the lowest stream id on ties
         best = values.reshape(R, N).argmax(axis=1)
         x = flat.reshape(R, N, 2)[runs, best]
         eps_x = eps_hat.reshape(R, N, 2)[runs, best]
-    return x, counters
+    return x
 
 
 def blockwise_batch(
@@ -280,14 +292,13 @@ def blockwise_batch(
         ab = sched.alpha_bar[top]
         x_start = np.sqrt(ab) * refs + np.sqrt(1.0 - ab) * z
 
-    def rollout(lo: int, hi: int):
-        return _selection_rollout(
-            model, sched, spec, n_streams, block_size, seeds[lo:hi], x_start[lo:hi], top
-        )
+    blocks = _block_bounds(top, block_size)
 
-    slices = _split_runs(rollout, R, R * n_streams)
-    # every slice counts the same per-run costs
-    return np.concatenate([x for x, _ in slices]), slices[0][1]
+    def rollout(lo: int, hi: int) -> np.ndarray:
+        return _selection_rollout(model, sched, spec, n_streams, blocks, seeds[lo:hi], x_start[lo:hi])
+
+    samples = _split_runs(rollout, R, R * n_streams)
+    return samples, RunCounters(model_evals=n_streams * top, reward_queries=n_streams * len(blocks))
 
 
 def _endpoint_score(spec: GaussianReward, sched: NoiseSchedule, t: int):
@@ -346,8 +357,7 @@ def grad_guided_batch(
             x = mu + np.sqrt(sched.beta[t]) * z
         else:
             x = mu
-        # NaN fails the comparison too
-        if not np.all(np.abs(x) <= STATE_BOUND):
+        if out_of_bound(x).any():
             counters.stopped_at = t
             return np.full_like(x, np.nan), counters
     return x, counters

@@ -25,13 +25,15 @@ def test_bench_script_runs(tmp_path, args):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["train", "select_narrow"])
+@pytest.mark.parametrize("workload", ["train", "select_narrow", "select_wide"])
 def test_bench_checks_pass_on_a_short_run(workload):
     """One short run of a workload passes the benchmark's own output checks:
     the forward reference, the recomputed selections, and the finite-difference
     checks of the input VJP and of the parameter gradients.  The only
     operation allowed to fail is the gradient point at scale 5, which
-    diverges on the benchmark's checkpoint."""
+    diverges on the benchmark's checkpoint.  ``select_wide``'s batches are
+    the ones the benchmark's one BLAS thread splits across two CPUs, so its
+    run also checks split samples against the independent recomputation."""
     proc = subprocess.run(
         [sys.executable, os.path.join(BENCH, "run.py"), "--workload", workload, "--seed", "1", "--seconds", "1"],
         capture_output=True,

@@ -1,17 +1,20 @@
 """End-to-end CLI behavior on a miniature configuration."""
 
 import argparse
+import dataclasses
 import importlib
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diffguide.cli import build_parser, main
-from diffguide.model import load_checkpoint
+from diffguide import build_linear_schedule, init_model
+from diffguide.model import load_checkpoint, save_checkpoint
 
 
 def mini_config(tmp_path, **extra):
@@ -155,6 +158,32 @@ class TestSampleAndGuide:
         assert "grad batch (n=1, scale=1000000.0) diverged" in captured.err
         assert "at step t=30 " in captured.err
 
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            (["--method", "stepwise", "--n-streams", "2"], "stepwise batch (n=2, scale=0.0)"),
+            (["--method", "base"], "base batch (n=1, scale=0.0)"),
+        ],
+    )
+    def test_guide_refuses_a_sample_beyond_the_bound(self, tmp_path, capsys, args, what):
+        """On a checkpoint whose output layer is blown up, every chain ends
+        near 1e130; ``guide`` refuses the sample as ``sweep`` would, with
+        exit code 3, and the model evaluates it without a RuntimeWarning."""
+        path, _ = mini_config(tmp_path)
+        ckpt = tmp_path / "blown_up.json"
+        model = init_model(8, 4, seed=0)
+        model = dataclasses.replace(model, w3=model.w3 * 1e8, b3=model.b3 + 1e8)
+        save_checkpoint(model, build_linear_schedule(20, 3e-3, 0.6), ckpt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["guide", "--config", str(path), "--checkpoint", str(ckpt), *args])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"guidance failed: {what} diverged: 1 of 1 samples left the bound |x| <= 1e+06\n"
+        )
+
     @pytest.mark.parametrize("scale", ["nan", "inf"])
     def test_guide_refuses_a_scale_that_is_no_finite_number(self, trained, capsys, scale):
         """A NaN scale would run the base chain and an infinite one diverge:
@@ -283,17 +312,27 @@ class TestPlotCommand:
         [
             (None, "line 1: empty file, expected a header"),
             (14, "line 3: 14 cells, the header has 16"),
+            ((1, ""), "line 3: column 'n': '' is no int"),
+            ((13, ""), "line 3: column 'model_evals': '' is no int"),
+            ((6, "abc"), "line 3: column 'expected_reward': 'abc' is no float"),
         ],
     )
     def test_malformed_csv_names_the_line(self, tmp_path, capsys, cut, message):
-        """An empty file, or a row with fewer cells than the header (here
-        the second data row), exits 2 with a message naming the line."""
+        """An empty file, a row with fewer cells than the header, or a cell
+        its column cannot read (a pair: the column and the cell written
+        there), in the second data row, exits 2 with a message naming the
+        line."""
         lines = (Path(__file__).parent / "data" / "sweep_fixture.csv").read_text().splitlines()[:4]
         bad = tmp_path / "metrics.csv"
+        cells = lines[2].split(",")
         if cut is None:
             bad.write_text("")
         else:
-            lines[2] = ",".join(lines[2].split(",")[:cut])
+            if isinstance(cut, tuple):
+                cells[cut[0]] = cut[1]
+            else:
+                cells = cells[:cut]
+            lines[2] = ",".join(cells)
             bad.write_text("\n".join(lines) + "\n")
         assert main(["plot", str(bad), "--out", str(tmp_path / "figs")]) == 2
         assert message in capsys.readouterr().err

@@ -150,6 +150,11 @@ class TestFieldsTheMethodIgnores:
                 {"method": "blockwise", "n_streams": 2, "block_size": 5, "x_ref": [1.0, 2.0]},
                 "blockwise takes no x_ref",
             ),
+            # with eta = 1 the run starts from pure noise and never reads x_ref
+            (
+                {"method": "blockwise_ref", "n_streams": 2, "block_size": 5, "x_ref": [1.0, 2.0]},
+                "x_ref applies to blockwise_ref with eta < 1 only; at eta = 1 it takes no x_ref",
+            ),
         ],
     )
     def test_sweep_point_is_refused(self, tmp_path, checkpoint, capsys, point, message):
@@ -173,15 +178,6 @@ class TestFieldsTheMethodIgnores:
     def test_guide_is_refused(self, tmp_path, checkpoint, capsys, args, message):
         assert run(tmp_path, base_config(tmp_path), "guide", "--checkpoint", checkpoint, *args) == 2
         assert message in capsys.readouterr().err
-
-    def test_reference_with_eta_one_is_accepted(self, tmp_path, checkpoint):
-        """blockwise_ref with eta = 1 ignores its reference: the documented
-        reduction to blockwise, so its x_ref stays allowed."""
-        cfg = base_config(tmp_path)
-        cfg["sweep"] = [
-            {"method": "blockwise_ref", "n_streams": 2, "block_size": 5, "x_ref": [1.0, 2.0]}
-        ]
-        assert run(tmp_path, cfg, "sweep", "--checkpoint", checkpoint) == 0
 
 
 class TestShiftCells:
@@ -444,8 +440,22 @@ class TestDefaults:
 
 
 def test_readme_config_example_loads():
-    """The README's config example is a config the schema accepts, and its
-    sweep points and shift cells together show every method."""
-    cfg = config_from_dict(readme_config())
+    """The README's config example is a config the schema accepts, its
+    sweep points and shift cells together show every method, and it sets
+    every field of every dataclass it builds.  Its reward is Gaussian, so
+    the quantized reward's ``delta`` does not appear."""
+    doc = readme_config()
+    cfg = config_from_dict(doc)
     assert cfg.shift_study is not None
-    assert {p.method for p in cfg.sweep + cfg.shift_study.cells} == set(METHODS)
+    points = cfg.sweep + cfg.shift_study.cells
+    assert {p.method for p in points} == set(METHODS)
+    shown = {
+        type(cfg): {*doc, *doc["schedule"], *doc["model"]},
+        type(cfg.prior): set(doc["prior"]),
+        type(cfg.reward): set(doc["reward"]),
+        type(cfg.train): set(doc["train"]),
+        type(cfg.shift_study): set(doc["shift_study"]),
+        type(points[0]): {key for entry in doc["sweep"] + doc["shift_study"]["cells"] for key in entry},
+    }
+    for cls, keys in shown.items():
+        assert {f.name for f in fields(cls)} <= keys, cls.__name__

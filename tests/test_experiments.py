@@ -11,12 +11,13 @@ import pytest
 from diffguide import build_linear_schedule, fit_gaussian, gaussian_kl, init_model, kl_upper_bound
 from diffguide.config import GuidancePoint, ShiftStudyConfig, config_from_dict
 from diffguide.experiments import (
+    _TAG_BASE_BATCH,
     SHIFT_COLUMNS,
     SWEEP_COLUMNS,
     GuidanceDivergedError,
     MetricsRow,
     ShiftRow,
-    _check_batch,
+    guided_batch,
     rows_to_csv,
     run_shift_study,
     run_sweep,
@@ -27,6 +28,8 @@ from diffguide.experiments import (
 )
 from diffguide.metrics import selection_gap
 from diffguide.rewards import GaussianReward, QuantizedReward, UnsupportedRewardError
+from diffguide.samplers import RunCounters, base_sample
+from diffguide.streams import derive_seed
 from diffguide.training import paper_prior
 
 SCHED = build_linear_schedule(40, 1e-3, 0.2)
@@ -230,7 +233,23 @@ class TestShiftStudy:
 
 
 class TestBatchCheck:
-    def test_collinear_blow_up_is_refused(self):
+    """``guided_batch`` refuses a batch with a sample out of the bound once
+    its sampler has returned.  Here the sampler is replaced by one that
+    returns a crafted batch."""
+
+    @staticmethod
+    def guided(monkeypatch, point, samples):
+        from diffguide import experiments
+
+        if point.method == "base":
+            monkeypatch.setattr(experiments, "base_sample", lambda *args: samples)
+        else:
+            name = "grad_guided_batch" if point.method == "grad" else "blockwise_batch"
+            monkeypatch.setattr(experiments, name, lambda *args, **kwargs: (samples, RunCounters()))
+        block = point.resolved_block(SCHED.T, "test")
+        return guided_batch(MODEL, SCHED, REWARD, point, block, 0, len(samples))[0]
+
+    def test_collinear_blow_up_is_refused(self, monkeypatch):
         """Finite samples spread along a line at 1e127 are beyond the bound."""
         t = np.linspace(-1.0, 1.0, 50)[:, None]
         samples = 3e127 * t * np.array([[1.0, 0.7]])
@@ -240,17 +259,17 @@ class TestBatchCheck:
             match=r"grad batch \(n=1, scale=5\.0\) diverged: 50 of 50 samples left the bound "
             r"\|x\| <= 1e\+06$",
         ):
-            _check_batch(point, samples)
+            self.guided(monkeypatch, point, samples)
 
-    def test_one_sample_beyond_the_bound_is_refused(self):
+    def test_one_sample_beyond_the_bound_is_refused(self, monkeypatch):
         samples = np.random.default_rng(1).normal(size=(30, 2))
         samples[7, 1] = -1.5e6
         samples[9, 0] = np.nan
         with pytest.raises(GuidanceDivergedError, match="2 of 30 samples left the bound"):
-            _check_batch(GuidancePoint(method="base"), samples)
+            self.guided(monkeypatch, GuidancePoint(method="base"), samples)
 
     @pytest.mark.parametrize("spread", [1e4, 1e5, 1e6])
-    def test_in_bound_collinear_batches_are_accepted(self, spread):
+    def test_in_bound_collinear_batches_are_accepted(self, monkeypatch, spread):
         """Batches on a line within the bound get a positive-definite fit
         and a finite KL; with an absolute ridge some fits were not
         positive-definite and the batches were refused as diverged."""
@@ -261,18 +280,24 @@ class TestBatchCheck:
             angle = rng.uniform(0.0, 2.0 * np.pi)
             direction = np.array([[np.cos(angle), np.sin(angle)]])
             samples = spread * rng.uniform(-1.0, 1.0, size=(40, 1)) * direction
-            fit = _check_batch(point, samples)
+            fit = fit_gaussian(self.guided(monkeypatch, point, samples))
             np.linalg.cholesky(fit.cov)
             assert np.isfinite(gaussian_kl(fit, base))
 
-    def test_returns_the_fit(self):
-        samples = np.random.default_rng(0).normal(size=(40, 2))
-        fit = _check_batch(GuidancePoint(method="base"), samples, fit_rows=30)
-        np.testing.assert_array_equal(fit.cov, fit_gaussian(samples[:30]).cov)
+    def test_sweep_fits_the_first_kl_samples_rows(self):
+        """A sweep row's ``kl_fit`` compares the fits of the first
+        ``kl_samples`` rows of the guided and of the base batch."""
+        point = GuidancePoint(method="best_of_n", n_streams=3)
+        (row,) = run_sweep(MODEL, SCHED, REWARD, [point], 40, 30, seed=6)
+        guided, _ = guided_batch(MODEL, SCHED, REWARD, point, SCHED.T, row.seed, 40)
+        base = base_sample(MODEL, SCHED, 40, derive_seed(6, _TAG_BASE_BATCH))
+        assert row.kl_fit == gaussian_kl(fit_gaussian(guided[:30]), fit_gaussian(base[:30]))
+        assert row.kl_fit != gaussian_kl(fit_gaussian(guided), fit_gaussian(base[:30]))
 
-    def test_collapsed_batch_is_accepted(self):
+    def test_collapsed_batch_is_accepted(self, monkeypatch):
         """A batch collapsed onto one point keeps a ridged, usable fit."""
-        _check_batch(GuidancePoint(method="stepwise", n_streams=2), np.full((20, 2), 4.0))
+        point = GuidancePoint(method="stepwise", n_streams=2)
+        fit_gaussian(self.guided(monkeypatch, point, np.full((20, 2), 4.0)))
 
 
 class TestCsvIo:
@@ -362,6 +387,31 @@ class TestCsvIo:
         path = tmp_path / "other.csv"
         path.write_text(header + "\n")
         with pytest.raises(ValueError, match=f"line 1: CSV schema mismatch at {re.escape(message)}$"):
+            read_csv(path)
+
+    @pytest.mark.parametrize(
+        "columns, column, cell, message",
+        [
+            (SWEEP_COLUMNS, "n", "", "column 'n': '' is no int"),
+            (SWEEP_COLUMNS, "model_evals", "", "column 'model_evals': '' is no int"),
+            (SWEEP_COLUMNS, "expected_reward", "abc", "column 'expected_reward': 'abc' is no float"),
+            (SWEEP_COLUMNS, "kl_fit", "", "column 'kl_fit': '' is no float"),
+            (SHIFT_COLUMNS, "mean_reward", "", "column 'mean_reward': '' is no float"),
+            (SHIFT_COLUMNS, "runs", "1.5", "column 'runs': '1.5' is no int"),
+        ],
+    )
+    def test_refuses_a_cell_its_type_cannot_parse(self, tmp_path, columns, column, cell, message):
+        """An empty number cell is not read as NaN, and a cell its field's
+        type cannot parse is refused; the message names the path, the line
+        and the column.  Only the empty ``wall_ms`` cell reads as NaN."""
+        row = ["0.0", "base", "1", "40", "1.0", "2", "0.5", "0.1", "0.2"]
+        if columns == SWEEP_COLUMNS:
+            row = ["base", "1", "40", "1.0", "0.0", "7", "0.5", "1.0", "0.5", "0.0", "0.0", "1.0", "1.0", "40", "0", ""]
+        path = tmp_path / "cells.csv"
+        bad = list(row)
+        bad[columns.index(column)] = cell
+        path.write_text("\n".join([",".join(columns), ",".join(row), ",".join(bad)]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: {re.escape(message)}$"):
             read_csv(path)
 
 

@@ -1,6 +1,7 @@
 """Guided samplers: special-case reductions, selection logic, counters."""
 
 import functools
+import re
 import sys
 import threading
 
@@ -297,6 +298,15 @@ class TestSeedChecks:
         ):
             with pytest.raises(ValueError, match=rf"got {shown}$"):
                 run()
+
+    @pytest.mark.parametrize(
+        "seed, shown", [(-1, "-1"), (np.int64(-3), "np.int64(-3)"), (2**64, str(2**64)), (1.5, "1.5"), (True, "True")]
+    )
+    def test_base_sample_refuses_a_seed_that_is_no_key(self, seed, shown):
+        """``base_sample`` checks its seed by the same rule: -1 and
+        ``np.int64(-3)`` used to wrap to the keys 2^64 - 1 and 2^64 - 3."""
+        with pytest.raises(ValueError, match=rf"^every seed must be an integer in \[0, 2\^64\), got {re.escape(shown)}$"):
+            base_sample(MODEL, SCHED, 3, seed)
 
     def test_the_largest_key_is_a_seed(self):
         a, _ = blockwise_batch(MODEL, SCHED, REWARD, 2, 10, [2**64 - 1])
