@@ -39,7 +39,6 @@ from .samplers import (
     RunCounters,
     base_sample,
     blockwise_batch,
-    ddpm_step,
     grad_guided_batch,
 )
 from .schedule import (
@@ -69,7 +68,6 @@ __all__ = [
     "batch_variance",
     "blockwise_batch",
     "build_linear_schedule",
-    "ddpm_step",
     "eps_and_input_grad",
     "expected_reward",
     "fit_gaussian",

@@ -1,12 +1,14 @@
 """Ancestral sampling and the inference-time guidance samplers.
 
-All guided variants share one blockwise selection core: the reverse chain is
-cut into consecutive blocks of ``block_size`` steps (a shorter final block
-when the step count is not divisible), each block unrolls ``n_streams``
-independent continuations of the current state, the endpoint with the best
-estimated value survives, ties go to the lowest stream id.  Each selection
-method of a ``config.GuidancePoint`` is a ``blockwise_batch`` run with the
-block that ``GuidancePoint.resolved_block`` gives it:
+One reverse-chain core (``_selection_rollout``) serves base sampling and
+every selection method: the chain is cut into consecutive blocks of
+``block_size`` steps (a shorter final block when the step count is not
+divisible), each block unrolls ``n_streams`` independent continuations of
+the current state, the endpoint with the best estimated value survives,
+ties go to the lowest stream id.  One stream selects nothing and estimates
+no value: ``base_sample`` is that run in one block of T steps.  Each
+selection method of a ``config.GuidancePoint`` is a ``blockwise_batch``
+run with the block that ``GuidancePoint.resolved_block`` gives it:
 
 * ``best_of_n``  - one block covering the whole chain (block = T),
 * ``stepwise``   - selection after every single step (block = 1),
@@ -15,12 +17,12 @@ block that ``GuidancePoint.resolved_block`` gives it:
 
 Gradient guidance (``grad_guided_batch``) instead shifts the predicted
 noise along the reward gradient each step and needs a differentiable reward.
-Its batch stops at the first step that leaves a state outside
-``STATE_BOUND`` (see ``grad_guided_batch``).
+It has its own reverse loop, which stops the batch at the first step that
+leaves a state outside ``STATE_BOUND``.
 
 Every random draw is keyed by ``(seed, role, step, stream)`` (see
 ``streams``), which makes runs reproducible, order-independent and exactly
-reducible: a single-stream guided run is bit-identical to a plain rollout,
+reducible: a single-stream guided run is bit-identical to a base rollout,
 regardless of block size.  A sampler takes a batch's transition noise from
 ``streams.step_noise``, which draws many steps' keys per call; each draw is
 still a function of its key alone.
@@ -31,12 +33,12 @@ reward query and is tallied in ``reward_queries`` instead.  The counts are
 the methods' nominal costs, not the rows the model evaluates, and
 ``blockwise_batch`` reads them off its block schedule (``_block_bounds``):
 ``n_streams`` forward passes per denoised step and ``n_streams`` reward
-queries per block, the same for every run of the batch.  A block's
-value estimate predicts the noise of every candidate at the next step, and
-the next block starts from the winner's prediction repeated over its
-streams, so a selection run evaluates one model row per stream and step
-(one per run at its first step).  A row's prediction does not depend on
-the batch it is evaluated in, so this reuse gives the bits a fresh
+queries per block (one stream too), the same for every run of the batch.
+A block's value estimate predicts the noise of every candidate at the next
+step, and the next block starts from the winner's prediction repeated over
+its streams, so a selection run evaluates one model row per stream and
+step (one per run at its first step).  A row's prediction does not depend
+on the batch it is evaluated in, so this reuse gives the bits a fresh
 evaluation of every stream would.
 
 Threads: ``base_sample`` and ``blockwise_batch`` cut their runs into
@@ -163,20 +165,11 @@ def _split_runs(rollout, runs: int, rows: int) -> np.ndarray:
         return np.concatenate([first] + [future.result() for future in rest])
 
 
-def ddpm_step(model, sched: NoiseSchedule, x_t, t: int, noise):
-    """One reverse transition; the final step (t = 1) returns the mean only."""
-    eps_hat = predict_eps(model, x_t, t, sched)
-    mu = posterior_mean(x_t, eps_hat, t, sched)
-    if t > 1:
-        return mu + np.sqrt(sched.beta[t]) * np.asarray(noise, dtype=np.float64)
-    return mu
-
-
 def base_sample(model, sched: NoiseSchedule, n: int, seed: int) -> np.ndarray:
     """n independent full ancestral rollouts from pure noise, shape (n, 2).
 
-    Rollout i occupies stream slot i of the seed's key space, so the first
-    rollouts of two calls with different n coincide bit for bit.
+    Rollout i is the one-stream selection run keyed ``(seed, i)``, so the
+    first rollouts of two calls with different n coincide bit for bit.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -184,10 +177,8 @@ def base_sample(model, sched: NoiseSchedule, n: int, seed: int) -> np.ndarray:
 
     def rollout(lo: int, hi: int) -> np.ndarray:
         ids = np.arange(lo, hi)
-        x = streams.normal_pair(seed, streams.ROLE_INIT, ids, 0)
-        for t, noise in streams.step_noise(seed, ids, sched.T):
-            x = ddpm_step(model, sched, x, t, noise)
-        return ddpm_step(model, sched, x, 1, None)
+        x_start = streams.normal_pair(seed, streams.ROLE_INIT, ids, 0)
+        return _selection_rollout(model, sched, None, [(sched.T, 1)], seed, ids[:, None], x_start)
 
     return _split_runs(rollout, n, n)
 
@@ -206,25 +197,25 @@ def _block_bounds(top: int, block_size: int):
 def _selection_rollout(
     model,
     sched: NoiseSchedule,
-    spec: RewardSpec,
-    n_streams: int,
+    spec: RewardSpec | None,
     blocks: list,
-    seeds: np.ndarray,
+    seed_keys,
+    stream_keys,
     x_start: np.ndarray,
 ) -> np.ndarray:
     """Blockwise best-of-n core, vectorized over R independent runs.
 
     ``x_start`` holds each run's state at the first block's top step;
     returns the R final samples.  Stream n of run r draws its step-t noise
-    from key (seeds[r], STEP, t, n), so results do not depend on R or on
-    scheduling.
+    from key (seed_keys, STEP, t, stream_keys) at [r, n] of their (R, N)
+    broadcast, so results do not depend on R or on scheduling.  One stream
+    selects nothing and reads no ``spec``.
     """
-    R = seeds.shape[0]
-    N = n_streams
+    R, N = np.broadcast_shapes(np.shape(seed_keys), np.shape(stream_keys))
     runs = np.arange(R)
     top = blocks[0][0]
     x = x_start
-    noise = streams.step_noise(seeds[:, None], np.arange(N)[None, :], top)
+    noise = streams.step_noise(seed_keys, stream_keys, top)
     eps_x = predict_eps(model, x, top, sched)
     for t_hi, t_lo in blocks:
         # the streams of a run all start the block from its state
@@ -238,6 +229,9 @@ def _selection_rollout(
                 eps_hat = predict_eps(model, flat, t - 1, sched)
             else:
                 flat = mu
+        if N == 1:  # one stream: nothing to select
+            x, eps_x = flat, eps_hat
+            continue
         # eps_hat predicts the endpoints' noise at t_lo - 1: the value
         # estimate scores it, and the winner's starts the next block
         values = np.asarray(value_given_eps(spec, sched, flat, t_lo - 1, eps_hat))
@@ -293,9 +287,10 @@ def blockwise_batch(
         x_start = np.sqrt(ab) * refs + np.sqrt(1.0 - ab) * z
 
     blocks = _block_bounds(top, block_size)
+    stream_ids = np.arange(n_streams)[None, :]
 
     def rollout(lo: int, hi: int) -> np.ndarray:
-        return _selection_rollout(model, sched, spec, n_streams, blocks, seeds[lo:hi], x_start[lo:hi])
+        return _selection_rollout(model, sched, spec, blocks, seeds[lo:hi, None], stream_ids, x_start[lo:hi])
 
     samples = _split_runs(rollout, R, R * n_streams)
     return samples, RunCounters(model_evals=n_streams * top, reward_queries=n_streams * len(blocks))

@@ -101,8 +101,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.dataset_size, self.batch_size) < 1 or self.lr < 0:
-            raise ValueError("epochs, dataset_size and batch_size must be positive, lr >= 0")
+        # NaN fails the comparison too
+        if min(self.epochs, self.dataset_size, self.batch_size) < 1 or not 0 <= self.lr < np.inf:
+            raise ValueError("epochs, dataset_size and batch_size must be positive, lr finite and >= 0")
         if self.batch_size > self.dataset_size:
             raise ValueError("batch_size cannot exceed dataset_size")
         if not streams.is_seed(self.seed):

@@ -180,6 +180,9 @@ class TestTrain:
             TrainConfig(dataset_size=10, batch_size=20)
         with pytest.raises(ValueError):
             TrainConfig(lr=-1.0)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lr finite"):
+                TrainConfig(lr=lr)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
